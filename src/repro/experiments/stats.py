@@ -10,8 +10,12 @@ differ.  This module provides:
   under **common random numbers** (the same fault seeds), the variance-
   reduction trick the harness's seeded evaluation enables.
 
-scipy is used when available for exact t quantiles; otherwise a normal
-approximation is applied (adequate for the >=30-draw runs of the paper).
+Both use the exact Student-t quantile for integer degrees of freedom,
+computed with the standard library alone: the two-sided t CDF is a
+finite cosine series in ``theta = atan(t / sqrt(dof))`` (Abramowitz &
+Stegun 26.7.3/26.7.4), inverted by bisection on ``theta`` to float
+precision.  The result therefore does not depend on which optional
+packages are installed.
 """
 
 from __future__ import annotations
@@ -22,30 +26,41 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - depends on environment
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
-
 __all__ = ["mean_confidence_interval", "PairedComparison", "paired_comparison"]
 
 
+def _t_two_sided_cdf(theta: float, dof: int) -> float:
+    """``P(|T| <= sqrt(dof) * tan(theta))`` for Student's t with ``dof``."""
+    odd = dof % 2
+    cos2 = math.cos(theta) ** 2
+    term = series = 1.0
+    for j in range(1, dof // 2):
+        term *= cos2 * (2 * j - 1 + odd) / (2 * j + odd)
+        series += term
+    if not odd:
+        return math.sin(theta) * series
+    if dof == 1:
+        return 2.0 * theta / math.pi
+    return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+
+
 def _t_quantile(confidence: float, dof: int) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2, dof))
-    # Normal approximation fallback.
-    return float(
-        math.sqrt(2) * _erfinv(confidence)
-    )
-
-
-def _erfinv(y: float) -> float:
-    """Inverse error function via Newton iterations (fallback only)."""
-    x = 0.0
-    for _ in range(60):
-        err = math.erf(x) - y
-        x -= err / (2 / math.sqrt(math.pi) * math.exp(-x * x))
-    return x
+    """The ``t`` with ``P(|T| <= t) = confidence`` for ``dof`` degrees of freedom."""
+    if dof < 1:
+        raise ValueError("degrees of freedom must be at least 1")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+    # The CDF rises monotonically in theta on [0, pi/2]; halve the bracket
+    # until its ends are adjacent floats.
+    low, high = 0.0, math.pi / 2
+    mid = 0.5 * (low + high)
+    while low < mid < high:
+        if _t_two_sided_cdf(mid, dof) < confidence:
+            low = mid
+        else:
+            high = mid
+        mid = 0.5 * (low + high)
+    return math.sqrt(dof) * math.tan(mid)
 
 
 def mean_confidence_interval(
@@ -63,8 +78,6 @@ def mean_confidence_interval(
     samples = np.asarray(list(samples), dtype=np.float64)
     if samples.size < 2:
         raise ValueError("need at least two samples for an interval")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
     mean = float(samples.mean())
     sem = float(samples.std(ddof=1) / np.sqrt(samples.size))
     t = _t_quantile(confidence, samples.size - 1)

@@ -1,5 +1,10 @@
 """Tests for the statistical utilities."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,59 @@ from repro.experiments import (
     mean_confidence_interval,
     paired_comparison,
 )
+from repro.experiments.stats import _t_quantile
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in list(range(1, 121)) + [199, 999, 1999]:
+        for confidence in CONFIDENCES:
+            expected = stats.t.ppf(0.5 + confidence / 2, dof)
+            assert _t_quantile(confidence, dof) == pytest.approx(
+                expected, rel=1e-10
+            ), (dof, confidence)
+
+
+@pytest.mark.parametrize("confidence", CONFIDENCES)
+def test_t_quantile_closed_forms(confidence):
+    c = confidence
+    assert _t_quantile(c, 1) == pytest.approx(math.tan(math.pi * c / 2), rel=1e-10)
+    assert _t_quantile(c, 2) == pytest.approx(
+        c * math.sqrt(2 / (1 - c * c)), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 30, 999])
+def test_t_quantile_rises_with_confidence(dof):
+    quantiles = [_t_quantile(c, dof) for c in CONFIDENCES]
+    assert all(a < b for a, b in zip(quantiles, quantiles[1:]))
+
+
+@pytest.mark.parametrize("dof", [0, -1])
+def test_t_quantile_rejects_dof_below_one(dof):
+    with pytest.raises(ValueError):
+        _t_quantile(0.95, dof)
+
+
+def test_ci_identical_without_scipy():
+    """The interval is the same bits whether or not scipy is importable."""
+    samples = [10.0, 12.0, 11.0, 13.0]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from repro.experiments import mean_confidence_interval\n"
+        f"print(*(v.hex() for v in mean_confidence_interval({samples!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+    ).stdout.split()
+    assert out == [v.hex() for v in mean_confidence_interval(samples)]
 
 
 def test_ci_contains_mean():
@@ -84,6 +142,10 @@ def test_paired_validation():
         paired_comparison([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         paired_comparison([1.0], [2.0])
+    # An invalid confidence once gave a NaN quantile and a "significant" winner.
+    for confidence in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            paired_comparison([1.0, 2.0, 3.0], [0.0, 0.5, 1.0], confidence)
 
 
 def test_paired_with_real_defect_evaluations(rng):

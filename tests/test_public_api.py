@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +111,21 @@ def test_no_import_side_effects():
     importlib.reload(importlib.import_module("repro.core"))
     after = np.random.random()
     assert before == after
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only oracle: importing the library, the sweep
+    engine and the CLI must not load it."""
+    code = (
+        "import repro, repro.sweep, repro.experiments.cli, sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    ).stdout
+    assert out.strip() == "[]"
