@@ -1,15 +1,17 @@
-"""Text rendering of recorded fault-forensics events.
+"""Text rendering of recorded fault-forensics aggregates.
 
 Backs ``python -m repro.telemetry forensics`` and the forensics section
-of the run summary.  Everything here is a pure function of the event
-list, so rendered output is deterministic for a recorded run.
+of the run summary.  Everything here is a pure function of the
+per-``(target, p_sa)`` aggregates :func:`~.aggregate.aggregate_events`
+rebuilds from a run's events, so rendered output is deterministic for a
+recorded run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from .aggregate import aggregate_events, deviation_matrix
+from .aggregate import deviation_matrix
 
 __all__ = ["HEATMAP_METRICS", "forensics_summary", "render_forensics"]
 
@@ -33,28 +35,12 @@ def _shade(value: Optional[float], lo: float, hi: float) -> str:
     return _RAMP[min(int(frac * (len(_RAMP) - 1) + 0.5), len(_RAMP) - 1)]
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(
-            cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-            for i, cell in enumerate(cells)
-        ).rstrip()
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return out
-
-
-def forensics_summary(events: Iterable[Mapping]) -> Optional[dict]:
-    """Compact digest of a run's forensics events (``None`` when absent).
+def forensics_summary(aggregates: Sequence[Mapping]) -> Optional[dict]:
+    """Compact digest of a run's forensics aggregates (``None`` when absent).
 
     Used by :func:`repro.telemetry.summary.summarize_run`: totals plus
     the top first-divergence layers across every whole-model aggregate.
     """
-    aggregates = aggregate_events(events)
     if not aggregates:
         return None
     totals = {
@@ -93,6 +79,10 @@ def forensics_summary(events: Iterable[Mapping]) -> Optional[dict]:
 def _render_heatmap(
     aggregates: Sequence[Mapping], metric: str
 ) -> List[str]:
+    # Lazy import: repro.bench imports telemetry, which imports this
+    # module, and ``import repro`` must not load the bench harness.
+    from ..bench.report import format_table
+
     layers, rates, cells = deviation_matrix(aggregates, metric=metric)
     if not layers:
         return []
@@ -108,7 +98,8 @@ def _render_heatmap(
             row.append(f"{_fmt_cell(value)} {_shade(value, lo, hi)}")
         rows.append(row)
     lines = [f"Per-layer deviation heatmap ({metric}, layers × P_sa):"]
-    lines.extend("  " + line for line in _table(headers, rows))
+    table = format_table(headers, rows)
+    lines.extend("  " + line for line in table.split("\n"))
     lines.append(
         f"  scale: {_fmt_cell(lo)} '{_RAMP[0]}' .. {_fmt_cell(hi)} "
         f"'{_RAMP[-1]}'"
@@ -149,11 +140,13 @@ def _render_first_divergence(aggregates: Sequence[Mapping]) -> List[str]:
             )
     if not rows:
         return []
-    lines = ["First-divergence attribution (per prediction flip):"]
-    lines.extend(
-        "  " + line
-        for line in _table(["p_sa", "first diverged layer", "flips", "share"], rows)
+    from ..bench.report import format_table
+
+    table = format_table(
+        ["p_sa", "first diverged layer", "flips", "share"], rows
     )
+    lines = ["First-divergence attribution (per prediction flip):"]
+    lines.extend("  " + line for line in table.split("\n"))
     return lines
 
 
@@ -180,31 +173,29 @@ def _render_targets(aggregates: Sequence[Mapping]) -> List[str]:
         )
     if not rows:
         return []
-    lines = ["Per-target propagation (layer_sensitivity forensics):"]
-    lines.extend(
-        "  " + line
-        for line in _table(
-            ["faulted tensor", "p_sa", "draws", "flips",
-             "most deviated layer", "rel_l2"],
-            rows,
-        )
+    from ..bench.report import format_table
+
+    table = format_table(
+        ["faulted tensor", "p_sa", "draws", "flips", "most deviated layer",
+         "rel_l2"],
+        rows,
     )
+    lines = ["Per-target propagation (layer_sensitivity forensics):"]
+    lines.extend("  " + line for line in table.split("\n"))
     return lines
 
 
 def render_forensics(
-    events: Iterable[Mapping], metric: str = "rel_l2"
+    aggregates: Sequence[Mapping], metric: str = "rel_l2"
 ) -> str:
     """Full text view: heatmap, first-divergence and per-target tables."""
     if metric not in HEATMAP_METRICS:
         raise ValueError(
             f"unknown metric {metric!r}; choose from {HEATMAP_METRICS}"
         )
-    events = list(events)
-    aggregates = aggregate_events(events)
     if not aggregates:
         return "no forensics events recorded (run with forensics enabled)"
-    totals = forensics_summary(events)
+    totals = forensics_summary(aggregates)
     lines = [
         "Fault forensics — "
         f"{totals['draws']} draws, {totals['samples']} sample evaluations, "

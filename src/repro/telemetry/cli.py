@@ -46,8 +46,8 @@ from .ledger import (
     diff_runs,
     render_diff,
 )
-from .summary import find_run_dir, render_summary, summarize_run
-from .trace import export_run_trace
+from .summary import find_run_dir, load_run, render_summary
+from .trace import write_trace
 
 __all__ = ["build_parser", "main"]
 
@@ -206,25 +206,12 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_events(run_dir: str) -> None:
-    """Reject an empty event log with a clear error instead of degenerate
-    output (``show``) or an empty trace (``trace``)."""
-    from .events import read_events
-
-    if not read_events(os.path.join(run_dir, "events.jsonl")):
-        raise FileNotFoundError(
-            f"run directory {run_dir!r} has no readable events "
-            "(empty or fully corrupt events.jsonl)"
-        )
-
-
 def _cmd_show(args: argparse.Namespace) -> int:
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
+    run = load_run(args.run)
     if args.json:
-        print(json.dumps(RunRecord.from_run_dir(run_dir).as_dict(), indent=2))
+        print(json.dumps(RunRecord.from_run(run).as_dict(), indent=2))
         return 0
-    print(render_summary(summarize_run(run_dir), top=args.top))
+    print(render_summary(run.summary(), top=args.top))
     return 0
 
 
@@ -242,49 +229,40 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    print(export_run_trace(run_dir))
+    run = load_run(args.run)
+    trace_path = os.path.join(run.run_dir, "trace.json")
+    write_trace(run.events, trace_path)
+    print(trace_path)
     return 0
 
 
 def _cmd_flame(args: argparse.Namespace) -> int:
-    from .events import read_events
     from .profiling import (
         build_speedscope,
-        merge_profile_events,
-        profile_interval_of,
         render_collapsed,
         render_flamegraph_svg,
     )
 
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
-    merged = merge_profile_events(events)
-    if not merged.counts:
+    run = load_run(args.run)
+    if run.profile is None or not run.profile["stacks"].counts:
         print(
-            f"error: run directory {run_dir!r} recorded no profile_stacks "
+            f"error: run directory {run.run_dir!r} recorded no profile_stacks "
             "events (was the run profiled? enable with "
             "telemetry.session(..., profile=True) or --profile)",
             file=sys.stderr,
         )
         return 2
-    interval = profile_interval_of(events)
+    merged, interval = run.profile["stacks"], run.profile["interval"]
+    name = os.path.basename(run.run_dir)
     if args.fmt == "collapsed":
         rendered = render_collapsed(merged)
     elif args.fmt == "speedscope":
         rendered = json.dumps(
-            build_speedscope(
-                merged, name=os.path.basename(run_dir), interval=interval
-            ),
-            indent=2,
+            build_speedscope(merged, name=name, interval=interval), indent=2
         )
     else:
         rendered = render_flamegraph_svg(
-            merged,
-            title=f"CPU flamegraph — {os.path.basename(run_dir)}",
-            interval=interval,
+            merged, title=f"CPU flamegraph — {name}", interval=interval
         )
     if args.output:
         with open(args.output, "w") as handle:
@@ -299,30 +277,24 @@ def _cmd_flame(args: argparse.Namespace) -> int:
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
     from ..forensics.render import render_forensics
-    from .events import read_events
 
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
+    run = load_run(args.run)
     if args.json:
-        from ..forensics.aggregate import aggregate_events
-
-        print(json.dumps(aggregate_events(events), indent=2))
+        print(json.dumps(run.forensics, indent=2))
         return 0
-    print(render_forensics(events, metric=args.metric))
+    print(render_forensics(run.forensics, metric=args.metric))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .events import read_events
     from .schema import validate_events
 
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
-    problems = validate_events(events)
+    run = load_run(args.run)
+    problems = validate_events(run.events)
     if not problems:
-        print(f"{run_dir}: {len(events)} event(s) conform to the schema")
+        print(
+            f"{run.run_dir}: {len(run.events)} event(s) conform to the schema"
+        )
         return 0
     shown = problems[: max(args.max_problems, 0)]
     for problem in shown:
@@ -331,8 +303,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if hidden > 0:
         print(f"... {hidden} more problem(s)")
     print(
-        f"{run_dir}: {len(problems)} schema problem(s) across "
-        f"{len(events)} event(s)"
+        f"{run.run_dir}: {len(problems)} schema problem(s) across "
+        f"{len(run.events)} event(s)"
     )
     return 1
 

@@ -3,10 +3,11 @@
 One telemetry run directory is self-describing (``events.jsonl``,
 ``metrics.json``, ``run.json``, ``trace.json``) but answering "which run
 produced the Table 1 numbers, and is tonight's run slower?" needs the
-*set* of runs in one place.  This module scans a telemetry parent
-directory into :class:`RunRecord` entries — run id, git SHA, config,
-headline metrics, span totals, duration — persists them as a versioned
-``index.json``, and implements the ``diff`` used by
+*set* of runs in one place.  This module projects every run under a
+telemetry parent directory (read through the run model of
+:mod:`repro.telemetry.summary`) into a :class:`RunRecord` — run id,
+git SHA, config, headline metrics, span totals, duration — persists
+them as a versioned ``index.json``, and implements the ``diff`` used by
 ``python -m repro.telemetry`` to compare two runs and flag regressions.
 
 Regressions are time-shaped by construction: a span (or ``*_seconds``
@@ -19,12 +20,11 @@ so that judgement stays with the reader.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Union
 
-from .events import read_events_with_errors
+from .summary import RunModel, is_run_dir, read_artefact, read_run, read_runs
 
 __all__ = [
     "INDEX_VERSION",
@@ -54,9 +54,9 @@ DEFAULT_REGRESSION_THRESHOLD = 0.25
 class RunRecord:
     """One run's ledger entry — everything ``ls``/``diff`` need.
 
-    Built from a run directory's artefacts; every field degrades to a
-    ``None``/empty value when the corresponding artefact is missing or
-    partial (a crashed run still gets a record).
+    Projected from a run's :class:`~repro.telemetry.summary.RunModel`;
+    every field degrades to a ``None``/empty value when the corresponding
+    artefact is missing or partial (a crashed run still gets a record).
     """
 
     run_id: str
@@ -83,55 +83,31 @@ class RunRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     @classmethod
+    def from_run(cls, run: RunModel) -> "RunRecord":
+        """The ledger projection of a loaded :class:`RunModel`."""
+        metrics = run.metrics or {}
+        return cls(
+            run_id=run.run_id,
+            run_dir=run.run_dir,
+            git_sha=run.provenance.get("git_sha"),
+            config=run.config,
+            started_at=run.provenance.get("started_at"),
+            duration_seconds=run.provenance.get("duration_seconds"),
+            num_events=len(run.events),
+            skipped_lines=run.skipped_lines,
+            counters=metrics.get("counters") or {},
+            gauges=metrics.get("gauges") or {},
+            histograms=metrics.get("histograms") or {},
+            spans={
+                path: {"count": entry["count"], "seconds": entry["seconds"]}
+                for path, entry in run.spans.items()
+            },
+        )
+
+    @classmethod
     def from_run_dir(cls, run_dir: str) -> "RunRecord":
         """Digest one run directory into a ledger record."""
-        record = cls(run_id=os.path.basename(run_dir.rstrip("/")), run_dir=run_dir)
-        meta = _load_optional_json(os.path.join(run_dir, "run.json"))
-        if meta:
-            record.run_id = meta.get("run_id", record.run_id)
-            record.config = meta.get("config", {}) or {}
-            provenance = meta.get("provenance", {}) or {}
-            record.git_sha = provenance.get("git_sha")
-            record.started_at = provenance.get("started_at")
-            record.duration_seconds = provenance.get("duration_seconds")
-        metrics = _load_optional_json(os.path.join(run_dir, "metrics.json"))
-        if metrics:
-            record.counters = metrics.get("counters", {}) or {}
-            record.gauges = metrics.get("gauges", {}) or {}
-            record.histograms = metrics.get("histograms", {}) or {}
-        events_path = os.path.join(run_dir, "events.jsonl")
-        if os.path.isfile(events_path):
-            events, skipped = read_events_with_errors(events_path)
-            record.num_events = len(events)
-            record.skipped_lines = skipped
-            for event in events:
-                if event.get("kind") != "span_end":
-                    continue
-                entry = record.spans.setdefault(
-                    str(event.get("path")), {"count": 0, "seconds": 0.0}
-                )
-                entry["count"] += 1
-                entry["seconds"] += float(event.get("seconds", 0.0))
-        return record
-
-
-def _load_optional_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (json.JSONDecodeError, OSError) as exc:
-        logging.getLogger("repro.telemetry").warning(
-            "%s: unreadable run artefact (%s); ignoring", path, exc
-        )
-        return None
-
-
-def _is_run_dir(path: str) -> bool:
-    return os.path.isfile(os.path.join(path, "events.jsonl")) or os.path.isfile(
-        os.path.join(path, "run.json")
-    )
+        return cls.from_run(read_run(run_dir))
 
 
 def scan_runs(directory: str) -> List[RunRecord]:
@@ -140,16 +116,7 @@ def scan_runs(directory: str) -> List[RunRecord]:
     ``directory`` may itself be a single run directory, in which case the
     result has exactly one record.
     """
-    if _is_run_dir(directory):
-        return [RunRecord.from_run_dir(directory)]
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"no such telemetry directory: {directory!r}")
-    records = [
-        RunRecord.from_run_dir(os.path.join(directory, entry))
-        for entry in sorted(os.listdir(directory))
-        if _is_run_dir(os.path.join(directory, entry))
-    ]
-    return sorted(records, key=lambda r: r.run_id)
+    return [RunRecord.from_run(run) for run in read_runs(directory)]
 
 
 def build_index(directory: str, write: bool = True) -> dict:
@@ -170,7 +137,7 @@ def build_index(directory: str, write: bool = True) -> dict:
         "num_runs": len(records),
         "runs": [record.as_dict() for record in records],
     }
-    if write and os.path.isdir(directory) and not _is_run_dir(directory):
+    if write and os.path.isdir(directory) and not is_run_dir(directory):
         with open(os.path.join(directory, INDEX_FILENAME), "w") as handle:
             json.dump(index, handle, indent=2)
     return index
@@ -183,7 +150,7 @@ def load_index(directory: str) -> dict:
     rather than misread.
     """
     path = os.path.join(directory, INDEX_FILENAME)
-    index = _load_optional_json(path)
+    index = read_artefact(path)
     if index is None or index.get("version") != INDEX_VERSION:
         return build_index(directory)
     return index

@@ -33,10 +33,9 @@ import json
 import math
 import os
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .events import read_events_with_errors
-from .ledger import RunRecord, scan_runs
+from .summary import RunModel, read_runs
 
 __all__ = [
     "build_report",
@@ -74,54 +73,6 @@ def _fmt_bytes(value: Optional[float]) -> str:
     return f"{value / (1024 * 1024):.1f} MiB"
 
 
-def _methods_from_events(events: List[dict], config: dict) -> List[dict]:
-    """Per-variant accuracy rows for one run.
-
-    Prefers ``method_report`` events (one per training variant); falls
-    back to synthesising a single row from ``defect_eval`` events for
-    runs recorded before ``method_report`` existed.
-    """
-    methods: List[dict] = []
-    for event in events:
-        if event.get("kind") != "method_report":
-            continue
-        defect = {
-            float(rate): float(acc)
-            for rate, acc in (event.get("defect") or {}).items()
-        }
-        methods.append(
-            {
-                "method": str(event.get("method", "?")),
-                "acc_pretrain": event.get("acc_pretrain"),
-                "acc_retrain": event.get("acc_retrain"),
-                "defect": defect,
-            }
-        )
-    if methods:
-        return methods
-
-    grid: Dict[float, float] = {}
-    for event in events:
-        if event.get("kind") != "defect_eval":
-            continue
-        rate = event.get("p_sa")
-        acc = event.get("mean_accuracy")
-        if isinstance(rate, (int, float)) and isinstance(acc, (int, float)):
-            grid[float(rate)] = float(acc)
-    if not grid:
-        return []
-    clean = grid.get(0.0, max(grid.values()))
-    label = str(config.get("experiment") or config.get("method") or "run")
-    return [
-        {
-            "method": label,
-            "acc_pretrain": clean,
-            "acc_retrain": clean,
-            "defect": grid,
-        }
-    ]
-
-
 def _stability_entry(run_id: str, method: dict) -> Optional[dict]:
     """Score one variant at its largest tested fault rate (paper eq. 1)."""
     # Lazy import: repro.core imports telemetry, so a module-level import
@@ -152,124 +103,35 @@ def _stability_entry(run_id: str, method: dict) -> Optional[dict]:
     }
 
 
-def _resource_summary(record: RunRecord, events: List[dict]) -> dict:
-    """Memory/CPU profile of one run from monitor metrics + events."""
-    rss_hist = record.histograms.get("resource/rss_bytes") or {}
-    samples = [e for e in events if e.get("kind") == "resource_sample"]
-    worker_samples = sum(1 for e in samples if e.get("worker_pid") is not None)
-    max_rss = record.gauges.get("resource/max_rss_bytes")
-    if max_rss is None:
-        rss_values = [
-            e["rss_bytes"]
-            for e in samples
-            if isinstance(e.get("rss_bytes"), (int, float))
-        ]
-        max_rss = max(rss_values) if rss_values else None
-    return {
-        "samples": len(samples),
-        "worker_samples": worker_samples,
-        "max_rss_bytes": max_rss,
-        "mean_rss_bytes": rss_hist.get("mean"),
-        "cpu_seconds": record.gauges.get("resource/cpu_seconds"),
-        "heartbeats": sum(1 for e in events if e.get("kind") == "heartbeat"),
-        "stalls": sum(1 for e in events if e.get("kind") == "progress_stall"),
-    }
-
-
-def _model_cost_totals(events: List[dict]) -> List[dict]:
-    """The ``model_cost`` headline numbers recorded in a run, if any."""
-    totals = []
-    for event in events:
-        if event.get("kind") != "model_cost":
-            continue
-        totals.append(
-            {
-                "model": event.get("model"),
-                "params": event.get("params"),
-                "macs": event.get("macs"),
-                "flops": event.get("flops"),
-                "activation_bytes": event.get("activation_bytes"),
-                "crossbar_cells": event.get("crossbar_cells"),
-            }
-        )
-    return totals
-
-
-def _forensics_aggregates(events: List[dict]) -> List[dict]:
-    """Per-``(target, p_sa)`` forensics aggregates of one run, if recorded."""
-    if not any(e.get("kind") == "forensics_draw" for e in events):
-        return []
-    # Lazy import: repro.forensics imports telemetry, so a module-level
-    # import here would be circular.
-    from ..forensics.aggregate import aggregate_events
-
-    return aggregate_events(events)
-
-
-def _sweep_reports(events: List[dict]) -> List[dict]:
-    """The ``sweep_report`` leaderboards recorded in a run, if any."""
-    reports = []
-    for event in events:
-        if event.get("kind") != "sweep_report":
-            continue
-        reports.append(
-            {
-                "sweep": str(event.get("sweep", "?")),
-                "profile": str(event.get("profile", "?")),
-                "cells": event.get("cells"),
-                "entries": list(event.get("entries") or []),
-            }
-        )
-    return reports
-
-
-def _profile_summary(events: List[dict]) -> Optional[dict]:
-    """Merged sampling-profile digest of one run (None when unprofiled)."""
-    from .profiling import merge_profile_events, profile_interval_of
-
-    merged = merge_profile_events(events)
-    if not merged.counts:
-        return None
-    profile_events = [
-        event for event in events if event.get("kind") == "profile_stacks"
-    ]
-    return {
-        "samples": merged.samples,
-        "events": len(profile_events),
-        "worker_events": sum(
-            1 for event in profile_events
-            if event.get("worker_pid") is not None
-        ),
-        "interval": profile_interval_of(events),
-        "stacks": merged.to_wire(),
-    }
-
-
-def _collect_run(record: RunRecord) -> dict:
-    events_path = os.path.join(record.run_dir, "events.jsonl")
-    events: List[dict] = []
-    if os.path.isfile(events_path):
-        events, _ = read_events_with_errors(events_path)
+def _run_entry(run: RunModel) -> dict:
+    """The dashboard's view of one run model."""
+    profile = run.profile
     top_spans = sorted(
-        record.spans.items(), key=lambda item: -item[1].get("seconds", 0.0)
+        run.spans.items(), key=lambda item: -item[1]["seconds"]
     )[:5]
     return {
-        "run_id": record.run_id,
-        "config": dict(sorted(record.config.items())),
-        "git_sha": record.git_sha,
-        "duration_seconds": record.duration_seconds,
-        "num_events": record.num_events,
-        "methods": _methods_from_events(events, record.config),
-        "resources": _resource_summary(record, events),
-        "model_cost": _model_cost_totals(events),
-        "profile": _profile_summary(events),
-        "forensics": _forensics_aggregates(events),
-        "sweeps": _sweep_reports(events),
+        "run_id": run.run_id,
+        "config": dict(sorted(run.config.items())),
+        "git_sha": run.provenance.get("git_sha"),
+        "duration_seconds": run.provenance.get("duration_seconds"),
+        "num_events": len(run.events),
+        "methods": run.methods,
+        "resources": run.resources,
+        "model_cost": run.model_cost,
+        "profile": None if profile is None else {
+            "samples": profile["stacks"].samples,
+            "events": profile["events"],
+            "worker_events": profile["worker_events"],
+            "interval": profile["interval"],
+            "stacks": profile["stacks"].to_wire(),
+        },
+        "forensics": run.forensics,
+        "sweeps": run.sweeps,
         "spans": [
             {
                 "path": path,
-                "count": entry.get("count", 0),
-                "seconds": entry.get("seconds", 0.0),
+                "count": entry["count"],
+                "seconds": entry["seconds"],
             }
             for path, entry in top_spans
         ],
@@ -320,10 +182,9 @@ def build_report(
     Raises ``FileNotFoundError`` when the directory holds no runs at all,
     so the CLI can exit 2 with a clear message.
     """
-    records = scan_runs(directory)
-    if not records:
+    runs = [_run_entry(run) for run in read_runs(directory)]
+    if not runs:
         raise FileNotFoundError(f"no telemetry runs under {directory!r}")
-    runs = [_collect_run(record) for record in records]
 
     curves = []
     for run in runs:
@@ -445,7 +306,8 @@ def _heat_color(fraction: float) -> str:
 
 def _svg_deviation_heatmap(aggregates: List[dict]) -> str:
     """Per-layer deviation heatmap (layers × P_sa), coloured by rel_l2."""
-    # Lazy import mirrors _forensics_aggregates (circularity).
+    # Lazy import: repro.forensics imports telemetry, so a module-level
+    # import here would be circular.
     from ..forensics.aggregate import deviation_matrix
 
     layers, rates, cells = deviation_matrix(aggregates, metric="rel_l2")

@@ -1,11 +1,13 @@
-"""Offline reconstruction of a finished run from its artefact directory.
+"""Offline reconstruction of a finished run: the one run model.
 
-``summarize_run`` re-reads ``events.jsonl`` (plus ``metrics.json`` and
-``run.json`` when present) and digests it into one JSON-friendly dict:
-training curve (per-epoch loss / accuracy / wall time), the per-rate
-defect-draw distributions (with seeds), span wall-clock totals, and event
-counts by kind.  ``render_summary`` formats that dict as a text report —
-the backing of ``python -m repro.experiments summary <run_dir>``.
+:func:`read_run` reads a run directory's ``run.json``, ``metrics.json``
+and ``events.jsonl`` once and folds the log in one pass into a
+:class:`RunModel`.  Every offline view projects it: the summary digest
+(:meth:`RunModel.summary`, :func:`render_summary`), the ledger's
+:class:`~repro.telemetry.ledger.RunRecord`, the dashboard's per-run
+entries, and the ``python -m repro.telemetry`` subcommands.  The rules
+for what a run directory is (:func:`is_run_dir`) and for rejecting a
+log with no readable event (:func:`load_run`) live here only.
 """
 
 from __future__ import annotations
@@ -13,13 +15,24 @@ from __future__ import annotations
 import json
 import logging
 import os
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .events import read_events_with_errors
 
-__all__ = ["find_run_dir", "summarize_run", "render_summary"]
+__all__ = [
+    "RunModel",
+    "is_run_dir",
+    "find_run_dir",
+    "read_artefact",
+    "read_run",
+    "read_runs",
+    "load_run",
+    "summarize_run",
+    "render_summary",
+]
 
 #: Nominal SA1 fraction among faulted cells under the paper's 1.75:9.04
 #: split — the reference line for the realized share reported in
@@ -27,30 +40,41 @@ __all__ = ["find_run_dir", "summarize_run", "render_summary"]
 _NOMINAL_SA1_SHARE = 9.04 / (1.75 + 9.04)
 
 
+def is_run_dir(path: str) -> bool:
+    """Whether ``path`` holds a run's ``events.jsonl`` or ``run.json``."""
+    return any(
+        os.path.isfile(os.path.join(path, name))
+        for name in ("events.jsonl", "run.json")
+    )
+
+
+def _run_dirs(directory: str) -> List[str]:
+    """``directory`` itself when it is a run, else its runs, by name."""
+    if is_run_dir(directory):
+        return [directory]
+    if not os.path.isdir(directory):
+        # A file (or nothing at all): a clear error beats the
+        # NotADirectoryError traceback os.listdir would raise.
+        raise FileNotFoundError(f"no such telemetry directory: {directory!r}")
+    paths = [os.path.join(directory, e) for e in sorted(os.listdir(directory))]
+    return [path for path in paths if is_run_dir(path)]
+
+
 def find_run_dir(path: str) -> str:
     """Resolve ``path`` to a run directory.
 
-    Accepts either a run directory itself (contains ``events.jsonl``) or
-    a telemetry parent directory, in which case the lexically last run
-    subdirectory is used (run ids sort chronologically).
+    Accepts either a run directory itself or a telemetry parent
+    directory, in which case the lexically last run subdirectory is used
+    (run ids sort chronologically).
     """
-    if os.path.isfile(os.path.join(path, "events.jsonl")):
-        return path
-    if not os.path.isdir(path):
-        # A file (or nothing at all): a clear error beats the
-        # NotADirectoryError traceback os.listdir would raise.
-        raise FileNotFoundError(f"not a run directory: {path!r}")
-    candidates = sorted(
-        entry
-        for entry in os.listdir(path)
-        if os.path.isfile(os.path.join(path, entry, "events.jsonl"))
-    )
-    if not candidates:
-        raise FileNotFoundError(f"no run with an events.jsonl under {path!r}")
-    return os.path.join(path, candidates[-1])
+    runs = _run_dirs(path)
+    if not runs:
+        raise FileNotFoundError(f"no run directory under {path!r}")
+    return runs[-1]
 
 
-def _load_optional_json(path: str) -> Optional[dict]:
+def read_artefact(path: str) -> Optional[dict]:
+    """A run's JSON artefact, or ``None`` when it is missing or unreadable."""
     if not os.path.isfile(path):
         return None
     try:
@@ -58,152 +82,320 @@ def _load_optional_json(path: str) -> Optional[dict]:
             return json.load(handle)
     except (json.JSONDecodeError, OSError) as exc:
         # A half-written run.json/metrics.json (killed run) degrades the
-        # summary, it must not crash it.
+        # views, it must not crash them.
         logging.getLogger("repro.telemetry").warning(
             "%s: unreadable run artefact (%s); ignoring", path, exc
         )
         return None
 
 
-def summarize_run(path: str) -> dict:
-    """Digest one run's event log into a JSON-friendly summary dict."""
-    run_dir = find_run_dir(path)
-    events, skipped = read_events_with_errors(
-        os.path.join(run_dir, "events.jsonl")
-    )
-    summary: dict = {
-        "run_dir": run_dir,
-        "run_id": events[0]["run_id"] if events else None,
-        "num_events": len(events),
-        "skipped_lines": skipped,
-        "events_by_kind": {},
-        "config": {},
-        "epochs": [],
-        "defect": {},
-        "spans": {},
-        "fault_realization": None,
-        "model_cost": [],
-        "resources": None,
-        "profile": None,
-        "forensics": None,
-    }
-    run_meta = _load_optional_json(os.path.join(run_dir, "run.json"))
-    if run_meta:
-        summary["config"] = run_meta.get("config", {})
-    metrics = _load_optional_json(os.path.join(run_dir, "metrics.json"))
-    if metrics is not None:
-        summary["metrics"] = metrics
+@dataclass
+class RunModel:
+    """One run directory, read once and folded into every view's sections.
 
+    A section is empty when its artefact or events are missing, so a
+    crashed run still has a model.  Peak RSS is the largest
+    ``max_rss_bytes`` (each process's ``ru_maxrss`` high-water mark) over
+    every ``resource_sample``, parent and workers; CPU time is the
+    parent's last ``cpu_seconds``.
+    """
+
+    run_dir: str
+    run_id: str
+    config: dict
+    provenance: dict
+    metrics: Optional[dict]
+    events: List[dict]
+    skipped_lines: int
+    events_by_kind: Dict[str, int] = field(default_factory=dict)
+    epochs: List[dict] = field(default_factory=list)
+    defect: Dict[str, dict] = field(default_factory=dict)
+    spans: Dict[str, dict] = field(default_factory=dict)
+    fault_realization: Optional[dict] = None
+    model_cost: List[dict] = field(default_factory=list)
+    resources: dict = field(default_factory=dict)
+    profile: Optional[dict] = None
+    forensics: List[dict] = field(default_factory=list)
+    methods: List[dict] = field(default_factory=list)
+    sweeps: List[dict] = field(default_factory=list)
+
+    def summary(self) -> dict:
+        """The JSON-friendly digest :func:`render_summary` formats."""
+        summary: dict = {
+            "run_dir": self.run_dir,
+            "run_id": self.run_id,
+            "num_events": len(self.events),
+            "skipped_lines": self.skipped_lines,
+            "events_by_kind": self.events_by_kind,
+            "config": self.config,
+            "epochs": self.epochs,
+            "defect": self.defect,
+            "spans": self.spans,
+            "fault_realization": self.fault_realization,
+            "model_cost": self.model_cost,
+            "resources": None,
+            "profile": None,
+            "forensics": None,
+        }
+        resources = self.resources
+        if any(resources[key] for key in ("samples", "heartbeats", "stalls")):
+            summary["resources"] = {
+                key: value
+                for key, value in resources.items()
+                if key != "mean_rss_bytes"
+            }
+        if self.profile is not None:
+            from .profiling import function_totals
+
+            stacks = self.profile["stacks"]
+            summary["profile"] = {
+                "events": self.profile["events"],
+                "worker_events": self.profile["worker_events"],
+                "samples": stacks.samples,
+                "interval": self.profile["interval"],
+                "functions": function_totals(stacks),
+            }
+        if self.forensics:
+            from ..forensics.render import forensics_summary
+
+            summary["forensics"] = forensics_summary(self.forensics)
+        if self.metrics is not None:
+            summary["metrics"] = self.metrics
+        return summary
+
+
+def read_run(run_dir: str) -> RunModel:
+    """Read ``run_dir``'s artefacts once and fold them into a model."""
+    meta = read_artefact(os.path.join(run_dir, "run.json")) or {}
+    events_path = os.path.join(run_dir, "events.jsonl")
+    events, skipped = (
+        read_events_with_errors(events_path)
+        if os.path.isfile(events_path)
+        else ([], 0)
+    )
+    run = RunModel(
+        run_dir=run_dir,
+        run_id=meta.get("run_id") or os.path.basename(run_dir.rstrip("/")),
+        config=meta.get("config") or {},
+        provenance=meta.get("provenance") or {},
+        metrics=read_artefact(os.path.join(run_dir, "metrics.json")),
+        events=events,
+        skipped_lines=skipped,
+    )
+    _fold(run)
+    return run
+
+
+def read_runs(directory: str) -> List[RunModel]:
+    """Every run under ``directory``, sorted by run id.
+
+    ``directory`` may itself be a single run directory, in which case the
+    result has exactly one model.  Raises ``FileNotFoundError`` when it
+    is neither a run nor a directory.
+    """
+    runs = [read_run(path) for path in _run_dirs(directory)]
+    return sorted(runs, key=lambda run: run.run_id)
+
+
+def load_run(path: str) -> RunModel:
+    """The model of one run for a single-run view.
+
+    ``path`` is resolved by :func:`find_run_dir`.  Raises
+    ``FileNotFoundError`` when the run has no readable event (a missing,
+    empty or fully corrupt ``events.jsonl``) rather than let a view
+    render degenerate output.
+    """
+    run = read_run(find_run_dir(path))
+    if not run.events:
+        raise FileNotFoundError(
+            f"run directory {run.run_dir!r} has no readable events "
+            "(empty or fully corrupt events.jsonl)"
+        )
+    return run
+
+
+def summarize_run(path: str) -> dict:
+    """Digest one run (see :func:`load_run`) into a JSON-friendly dict."""
+    return load_run(path).summary()
+
+
+#: What folding an event whose payload lost its kind's shape raises.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+#: The ``epoch_end`` and ``model_cost`` fields a view shows, in order.
+_EPOCH_KEYS = (
+    "epoch", "loss", "train_accuracy", "p_sa", "seconds",
+    "grad_norm_pre_clip", "grad_norm_post_clip", "update_ratio",
+)
+_COST_KEYS = (
+    "model", "params", "macs", "flops", "activation_bytes", "crossbar_cells",
+)
+
+
+def _fold(run: RunModel) -> None:
+    """Fill ``run``'s sections from its events in one pass.
+
+    An event whose payload does not have its kind's shape (schema drift,
+    which ``python -m repro.telemetry validate`` names) is left out of
+    the sections with a warning instead of failing every view of the run.
+    """
     by_kind: Dict[str, int] = {}
-    draws: Dict[float, List[dict]] = {}
+    draws: Dict[float, List[tuple]] = {}
+    grid: Dict[float, float] = {}
     faults = {"injections": 0, "cells": 0, "sa0": 0, "sa1": 0}
-    resources = {
+    histograms = (run.metrics or {}).get("histograms") or {}
+    rss = histograms.get("resource/rss_bytes") or {}
+    resources = run.resources = {
         "samples": 0,
         "worker_samples": 0,
         "max_rss_bytes": None,
+        "mean_rss_bytes": rss.get("mean"),
         "cpu_seconds": None,
         "heartbeats": 0,
         "stalls": 0,
     }
-    profile = {
-        "events": 0,
-        "worker_events": 0,
-        "samples": 0,
-        "interval": None,
-        "stacks": {},
-    }
-    for event in events:
-        kind = event["kind"]
+    profile_events: List[dict] = []
+    forensics_events: List[dict] = []
+    malformed = 0
+    for event in run.events:
+        kind = str(event.get("kind"))
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if kind == "run_start" and not summary["config"]:
-            summary["config"] = event.get("config", {})
-        elif kind == "epoch_end":
-            summary["epochs"].append(
-                {
-                    "epoch": event.get("epoch"),
-                    "loss": event.get("loss"),
-                    "train_accuracy": event.get("train_accuracy"),
-                    "p_sa": event.get("p_sa"),
-                    "seconds": event.get("seconds"),
-                    "grad_norm_pre_clip": event.get("grad_norm_pre_clip"),
-                    "grad_norm_post_clip": event.get("grad_norm_post_clip"),
-                    "update_ratio": event.get("update_ratio"),
-                }
-            )
-        elif kind == "defect_draw":
-            draws.setdefault(float(event["p_sa"]), []).append(event)
-        elif kind == "span_end":
-            entry = summary["spans"].setdefault(
-                event["path"], {"count": 0, "seconds": 0.0, "workers": {}}
-            )
-            seconds = float(event.get("seconds", 0.0))
-            entry["count"] += 1
-            entry["seconds"] += seconds
-            pid = event.get("worker_pid")
-            label = "main" if pid is None else f"worker-{pid}"
-            worker = entry["workers"].setdefault(
-                label, {"count": 0, "seconds": 0.0}
-            )
-            worker["count"] += 1
-            worker["seconds"] += seconds
-        elif kind == "fault_inject" and "sa0" in event:
-            faults["injections"] += 1
-            faults["cells"] += int(event.get("cells_total", 0))
-            faults["sa0"] += int(event["sa0"])
-            faults["sa1"] += int(event.get("sa1", 0))
-        elif kind == "model_cost":
-            summary["model_cost"].append(
-                {
-                    "model": event.get("model"),
-                    "params": event.get("params"),
-                    "macs": event.get("macs"),
-                    "flops": event.get("flops"),
-                    "activation_bytes": event.get("activation_bytes"),
-                    "crossbar_cells": event.get("crossbar_cells"),
-                }
-            )
-        elif kind == "resource_sample":
-            resources["samples"] += 1
-            if event.get("worker_pid") is not None:
-                resources["worker_samples"] += 1
-            rss = event.get("rss_bytes")
-            if isinstance(rss, (int, float)):
-                best = resources["max_rss_bytes"]
-                resources["max_rss_bytes"] = (
-                    rss if best is None else max(best, rss)
+        from_worker = event.get("worker_pid") is not None
+        # Each branch converts its fields before it changes any section,
+        # so a malformed event leaves no partial trace.
+        try:
+            if kind == "run_start" and not run.config:
+                run.config = dict(event.get("config") or {})
+            elif kind == "epoch_end":
+                run.epochs.append({key: event.get(key) for key in _EPOCH_KEYS})
+            elif kind == "defect_draw":
+                rate, acc = float(event["p_sa"]), float(event["accuracy"])
+                draws.setdefault(rate, []).append((acc, event.get("seed")))
+            elif kind == "defect_eval":
+                rate = event.get("p_sa")
+                acc = event.get("mean_accuracy")
+                if isinstance(rate, (int, float)) and isinstance(
+                    acc, (int, float)
+                ):
+                    grid[float(rate)] = float(acc)
+            elif kind == "span_end":
+                seconds = float(event.get("seconds", 0.0))
+                entry = run.spans.setdefault(
+                    str(event.get("path")),
+                    {"count": 0, "seconds": 0.0, "workers": {}},
                 )
-            cpu = event.get("cpu_seconds")
-            # Last parent sample wins: CPU time is cumulative per process.
-            if isinstance(cpu, (int, float)) and event.get("worker_pid") is None:
-                resources["cpu_seconds"] = cpu
-        elif kind == "heartbeat":
-            resources["heartbeats"] += 1
-        elif kind == "progress_stall":
-            resources["stalls"] += 1
-        elif kind == "profile_stacks":
-            profile["events"] += 1
-            if event.get("worker_pid") is not None:
-                profile["worker_events"] += 1
-            profile["samples"] += int(event.get("samples") or 0)
-            if profile["interval"] is None and event.get("interval"):
-                profile["interval"] = float(event["interval"])
-            for key, count in (event.get("stacks") or {}).items():
-                profile["stacks"][key] = profile["stacks"].get(key, 0) + int(
-                    count
+                entry["count"] += 1
+                entry["seconds"] += seconds
+                label = (
+                    f"worker-{event['worker_pid']}" if from_worker else "main"
                 )
-    summary["events_by_kind"] = dict(sorted(by_kind.items()))
-    if by_kind.get("forensics_draw"):
-        from ..forensics.render import forensics_summary
+                worker = entry["workers"].setdefault(
+                    label, {"count": 0, "seconds": 0.0}
+                )
+                worker["count"] += 1
+                worker["seconds"] += seconds
+            elif kind == "fault_inject" and "sa0" in event:
+                cells = int(event.get("cells_total", 0))
+                sa0, sa1 = int(event["sa0"]), int(event.get("sa1", 0))
+                faults["injections"] += 1
+                faults["cells"] += cells
+                faults["sa0"] += sa0
+                faults["sa1"] += sa1
+            elif kind == "model_cost":
+                run.model_cost.append({key: event.get(key) for key in _COST_KEYS})
+            elif kind == "resource_sample":
+                resources["samples"] += 1
+                if from_worker:
+                    resources["worker_samples"] += 1
+                peak = event.get("max_rss_bytes")
+                if isinstance(peak, (int, float)):
+                    best = resources["max_rss_bytes"]
+                    resources["max_rss_bytes"] = (
+                        peak if best is None else max(best, peak)
+                    )
+                cpu = event.get("cpu_seconds")
+                # Last parent sample wins: CPU time is cumulative per process.
+                if isinstance(cpu, (int, float)) and not from_worker:
+                    resources["cpu_seconds"] = cpu
+            elif kind == "heartbeat":
+                resources["heartbeats"] += 1
+            elif kind == "progress_stall":
+                resources["stalls"] += 1
+            elif kind == "profile_stacks":
+                profile_events.append(event)
+            elif kind == "forensics_draw":
+                forensics_events.append(event)
+            elif kind == "method_report":
+                defect = {
+                    float(rate): float(acc)
+                    for rate, acc in (event.get("defect") or {}).items()
+                }
+                run.methods.append(
+                    {
+                        "method": str(event.get("method", "?")),
+                        "acc_pretrain": event.get("acc_pretrain"),
+                        "acc_retrain": event.get("acc_retrain"),
+                        "defect": defect,
+                    }
+                )
+            elif kind == "sweep_report":
+                entries = list(event.get("entries") or [])
+                run.sweeps.append(
+                    {
+                        "sweep": str(event.get("sweep", "?")),
+                        "profile": str(event.get("profile", "?")),
+                        "cells": event.get("cells"),
+                        "entries": entries,
+                    }
+                )
+        except _MALFORMED:
+            malformed += 1
+    run.events_by_kind = dict(sorted(by_kind.items()))
 
-        summary["forensics"] = forensics_summary(events)
-    if resources["samples"] or resources["heartbeats"] or resources["stalls"]:
-        summary["resources"] = resources
-    if profile["events"]:
-        from .profiling import StackAggregate, function_totals
+    if profile_events:
+        from .profiling import merge_profile_events, profile_interval_of
 
-        aggregate = StackAggregate.from_wire(profile.pop("stacks"))
-        profile["functions"] = function_totals(aggregate)
-        summary["profile"] = profile
+        try:
+            stacks = merge_profile_events(profile_events)
+        except _MALFORMED:
+            malformed += len(profile_events)
+        else:
+            run.profile = {
+                "events": len(profile_events),
+                "worker_events": sum(
+                    e.get("worker_pid") is not None for e in profile_events
+                ),
+                "interval": profile_interval_of(profile_events),
+                "stacks": stacks,
+            }
+    if forensics_events:
+        # Lazy import: repro.forensics imports telemetry, so a
+        # module-level import here would be circular.
+        from ..forensics.aggregate import aggregate_events
+
+        try:
+            run.forensics = aggregate_events(forensics_events)
+        except _MALFORMED:
+            malformed += len(forensics_events)
+    if malformed:
+        logging.getLogger("repro.telemetry").warning(
+            "%s: %d malformed event(s) left out of the run's views "
+            "(python -m repro.telemetry validate names them)",
+            run.run_dir,
+            malformed,
+        )
+    if not run.methods and grid:
+        clean = grid.get(0.0, max(grid.values()))
+        config = run.config
+        label = config.get("experiment") or config.get("method") or "run"
+        run.methods.append(
+            {
+                "method": str(label),
+                "acc_pretrain": clean,
+                "acc_retrain": clean,
+                "defect": grid,
+            }
+        )
     if faults["injections"]:
         faulted = faults["sa0"] + faults["sa1"]
         faults["realized_p_sa"] = (
@@ -213,25 +405,17 @@ def summarize_run(path: str) -> dict:
             faults["sa1"] / faulted if faulted else None
         )
         faults["nominal_sa1_share"] = _NOMINAL_SA1_SHARE
-        summary["fault_realization"] = faults
-
+        run.fault_realization = faults
     for rate in sorted(draws):
-        accuracies = [float(d["accuracy"]) for d in draws[rate]]
-        summary["defect"][str(rate)] = {
+        accuracies = [accuracy for accuracy, _ in draws[rate]]
+        run.defect[str(rate)] = {
             "draws": len(accuracies),
             "mean_accuracy": float(np.mean(accuracies)),
             "std_accuracy": float(np.std(accuracies)),
             "min_accuracy": float(np.min(accuracies)),
             "max_accuracy": float(np.max(accuracies)),
-            "seeds": [d.get("seed") for d in draws[rate]],
+            "seeds": [seed for _, seed in draws[rate]],
         }
-    return summary
-
-
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 60.0:
-        return f"{seconds / 60.0:.1f}m"
-    return f"{seconds:.3f}s"
 
 
 def _top_tables(summary: dict, top: int) -> List[str]:
@@ -346,6 +530,8 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
     ``top`` appends the slowest-``N`` spans and per-layer
     forward/backward tables (the CLI's ``--top N``).
     """
+    from ..bench.report import format_seconds
+
     lines = [
         f"Telemetry summary — {summary.get('run_id')}",
         f"  directory : {summary.get('run_dir')}",
@@ -371,7 +557,7 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
         losses = [e["loss"] for e in epochs if e["loss"] is not None]
         lines.append("")
         lines.append(
-            f"Training: {len(epochs)} epochs in {_format_seconds(total)}"
+            f"Training: {len(epochs)} epochs in {format_seconds(total)}"
             + (
                 f", loss {losses[0]:.4f} -> {losses[-1]:.4f}"
                 if losses
@@ -467,7 +653,7 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
         if interval:
             line += (
                 f", {interval:g}s interval "
-                f"≈ {_format_seconds(profile['samples'] * interval)} sampled"
+                f"≈ {format_seconds(profile['samples'] * interval)} sampled"
             )
         line += "  (flamegraph: python -m repro.telemetry flame <run>)"
         lines.append(line)
@@ -519,7 +705,7 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
         ):
             lines.append(
                 f"  {path:<{width}}  ×{entry['count']:<4} "
-                f"{_format_seconds(entry['seconds'])}"
+                f"{format_seconds(entry['seconds'])}"
             )
             workers = entry.get("workers") or {}
             if any(label != "main" for label in workers):
@@ -527,7 +713,7 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
                     lines.append(
                         f"    {label:<{max(width - 2, 1)}}  "
                         f"×{stats['count']:<4} "
-                        f"{_format_seconds(stats['seconds'])}"
+                        f"{format_seconds(stats['seconds'])}"
                     )
 
     if top is not None:

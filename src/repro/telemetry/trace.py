@@ -187,9 +187,11 @@ def write_trace(events: List[dict], path: str) -> dict:
 def export_run_trace(run_dir: str) -> str:
     """Render ``<run_dir>/events.jsonl`` to ``<run_dir>/trace.json``.
 
-    Returns the trace path.  Corrupt trailing event lines (crashed run)
-    are skipped by the reader, so a partial run still yields its intact
-    span prefix.
+    The session-close export: it parses the log and builds the trace,
+    nothing more (the ``trace`` subcommand writes the events it already
+    holds through :func:`write_trace`).  Returns the trace path.
+    Corrupt trailing event lines (crashed run) are skipped by the
+    reader, so a partial run still yields its intact span prefix.
     """
     events, _ = read_events_with_errors(os.path.join(run_dir, "events.jsonl"))
     trace_path = os.path.join(run_dir, "trace.json")

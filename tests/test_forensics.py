@@ -298,11 +298,11 @@ def _recorded_events(rng):
 
 def test_render_forensics_text(rng):
     events = _recorded_events(rng)
-    text = render_forensics(events)
+    text = render_forensics(aggregate_events(events))
     assert "Per-layer deviation heatmap" in text
     assert "0.05" in text and "0.15" in text
     assert "First-divergence attribution" in text
-    summary = forensics_summary(events)
+    summary = forensics_summary(aggregate_events(events))
     assert summary["draws"] == 4 + 2 * len(
         {e["target"] for e in events if e.get("target")}
     )
@@ -312,4 +312,4 @@ def test_render_forensics_text(rng):
 def test_render_forensics_rejects_unknown_metric(rng):
     events = _recorded_events(rng)
     with pytest.raises(ValueError):
-        render_forensics(events, metric="bogus")
+        render_forensics(aggregate_events(events), metric="bogus")

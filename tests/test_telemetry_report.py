@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.experiments.cli import main as experiments_main
 from repro.telemetry.cli import main as cli_main
 from repro.telemetry.report import (
     REPORT_FILENAME,
@@ -273,6 +274,8 @@ def test_cli_show_and_trace_reject_empty_events(tmp_path, capsys):
     assert "no readable events" in capsys.readouterr().err
     assert cli_main(["trace", str(run_dir)]) == 2
     assert "no readable events" in capsys.readouterr().err
+    assert experiments_main(["summary", "--run", str(run_dir)]) == 2
+    assert "no readable events" in capsys.readouterr().err
 
 
 def test_cli_show_rejects_fully_corrupt_events(tmp_path, capsys):
@@ -282,6 +285,8 @@ def test_cli_show_rejects_fully_corrupt_events(tmp_path, capsys):
     assert cli_main(["show", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert "no readable events" in err
+    assert experiments_main(["summary", "--run", str(run_dir)]) == 2
+    assert "no readable events" in capsys.readouterr().err
 
 
 def test_cli_file_path_exits_2(tmp_path, capsys):
