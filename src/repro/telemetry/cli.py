@@ -244,7 +244,7 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     )
 
     run = load_run(args.run)
-    if run.profile is None or not run.profile["stacks"].counts:
+    if run.profile is None or not run.profile["merged"].counts:
         print(
             f"error: run directory {run.run_dir!r} recorded no profile_stacks "
             "events (was the run profiled? enable with "
@@ -252,7 +252,7 @@ def _cmd_flame(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    merged, interval = run.profile["stacks"], run.profile["interval"]
+    merged, interval = run.profile["merged"], run.profile["interval"]
     name = os.path.basename(run.run_dir)
     if args.fmt == "collapsed":
         rendered = render_collapsed(merged)

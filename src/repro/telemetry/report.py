@@ -119,11 +119,11 @@ def _run_entry(run: RunModel) -> dict:
         "resources": run.resources,
         "model_cost": run.model_cost,
         "profile": None if profile is None else {
-            "samples": profile["stacks"].samples,
+            "samples": profile["merged"].samples,
             "events": profile["events"],
             "worker_events": profile["worker_events"],
             "interval": profile["interval"],
-            "stacks": profile["stacks"].to_wire(),
+            "stacks": profile["merged"].to_wire(),
         },
         "forensics": run.forensics,
         "sweeps": run.sweeps,

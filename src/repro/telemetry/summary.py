@@ -97,7 +97,8 @@ class RunModel:
     crashed run still has a model.  Peak RSS is the largest
     ``max_rss_bytes`` (each process's ``ru_maxrss`` high-water mark) over
     every ``resource_sample``, parent and workers; CPU time is the
-    parent's last ``cpu_seconds``.
+    parent's last ``cpu_seconds``.  ``profile["merged"]`` is the parent
+    and worker ``profile_stacks`` merged into one ``StackAggregate``.
     """
 
     run_dir: str
@@ -147,13 +148,13 @@ class RunModel:
         if self.profile is not None:
             from .profiling import function_totals
 
-            stacks = self.profile["stacks"]
+            merged = self.profile["merged"]
             summary["profile"] = {
                 "events": self.profile["events"],
                 "worker_events": self.profile["worker_events"],
-                "samples": stacks.samples,
+                "samples": merged.samples,
                 "interval": self.profile["interval"],
-                "functions": function_totals(stacks),
+                "functions": function_totals(merged),
             }
         if self.forensics:
             from ..forensics.render import forensics_summary
@@ -356,7 +357,7 @@ def _fold(run: RunModel) -> None:
         from .profiling import merge_profile_events, profile_interval_of
 
         try:
-            stacks = merge_profile_events(profile_events)
+            merged = merge_profile_events(profile_events)
         except _MALFORMED:
             malformed += len(profile_events)
         else:
@@ -366,7 +367,7 @@ def _fold(run: RunModel) -> None:
                     e.get("worker_pid") is not None for e in profile_events
                 ),
                 "interval": profile_interval_of(profile_events),
-                "stacks": stacks,
+                "merged": merged,
             }
     if forensics_events:
         # Lazy import: repro.forensics imports telemetry, so a
