@@ -132,16 +132,23 @@ def ecoc_predict(logits: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 def evaluate_ecoc_accuracy(
     model: nn.Module, loader: DataLoader, codebook: np.ndarray
 ) -> float:
-    """Top-1 accuracy (%) of an ECOC-headed model."""
+    """Top-1 accuracy (%) of an ECOC-headed model.
+
+    Forwards run under :func:`repro.nn.no_grad`; the training mode is
+    restored afterwards, also when a forward raises.
+    """
     was_training = model.training
     model.eval()
     correct = 0
     total = 0
-    for images, labels in loader:
-        predictions = ecoc_predict(model(images), codebook)
-        correct += int((predictions == labels).sum())
-        total += len(labels)
-    model.train(was_training)
+    try:
+        with nn.no_grad():
+            for images, labels in loader:
+                predictions = ecoc_predict(model(images), codebook)
+                correct += int((predictions == labels).sum())
+                total += len(labels)
+    finally:
+        model.train(was_training)
     if total == 0:
         raise ValueError("loader yielded no samples")
     return 100.0 * correct / total

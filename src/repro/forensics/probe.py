@@ -176,61 +176,62 @@ class DeviationProbe:
         undiverged = 0
         cfg = self.config
         try:
-            for images, labels in loader:
-                captured.clear()
-                clean_logits = self.model(images)
-                clean_acts = dict(captured)
-                for param, _, value in swaps:
-                    # Probe-owned swap; pristine values restored below.
-                    param.data[...] = value  # repro-lint: disable=RL006
-                try:
+            with nn.no_grad():
+                for images, labels in loader:
                     captured.clear()
-                    faulted_logits = self.model(images)
-                    fault_acts = dict(captured)
-                finally:
-                    for param, pristine, _ in swaps:
-                        param.data[...] = pristine  # repro-lint: disable=RL006
-                clean_pred = clean_logits.argmax(axis=1)
-                faulted_pred = faulted_logits.argmax(axis=1)
-                correct += int((faulted_pred == labels).sum())
-                total += len(labels)
-                batch = len(labels)
-                # (layer, sample) per-sample relative deviation matrix for
-                # first-divergence scanning.
-                rel = np.zeros((len(self.layers), batch))
-                seen = np.zeros(len(self.layers), dtype=bool)
-                for index, (name, _) in enumerate(self.layers):
-                    if index not in clean_acts or index not in fault_acts:
-                        continue
-                    clean = clean_acts[index]
-                    fault = fault_acts[index]
-                    delta = fault - clean
-                    entry = sums[name]
-                    entry.sum_sq_dev += float(np.sum(delta * delta))
-                    entry.sum_sq_clean += float(np.sum(clean * clean))
-                    entry.sum_dot += float(np.sum(clean * fault))
-                    entry.sum_sq_fault += float(np.sum(fault * fault))
-                    entry.perturbed += int((np.abs(delta) > cfg.tol).sum())
-                    entry.elements += delta.size
-                    if clean.shape[0] == batch:
-                        # axis=() (1-D outputs) is the identity reduction:
-                        # the per-sample "norm" is just |delta| elementwise.
-                        axes = tuple(range(1, delta.ndim))
-                        dev_norm = np.sqrt(np.sum(delta * delta, axis=axes))
-                        clean_norm = np.sqrt(np.sum(clean * clean, axis=axes))
-                        rel[index] = dev_norm / np.maximum(clean_norm, _TINY)
-                        seen[index] = True
-                flips = np.flatnonzero(faulted_pred != clean_pred)
-                flipped += len(flips)
-                if len(flips):
-                    exceeded = (rel > cfg.threshold) & seen[:, None]
-                    for sample in flips:
-                        column = exceeded[:, sample]
-                        if column.any():
-                            index = int(np.argmax(column))
-                            sums[self.layers[index][0]].first_divergence += 1
-                        else:
-                            undiverged += 1
+                    clean_logits = self.model(images)
+                    clean_acts = dict(captured)
+                    for param, _, value in swaps:
+                        # Probe-owned swap; pristine values restored below.
+                        param.data[...] = value  # repro-lint: disable=RL006
+                    try:
+                        captured.clear()
+                        faulted_logits = self.model(images)
+                        fault_acts = dict(captured)
+                    finally:
+                        for param, pristine, _ in swaps:
+                            param.data[...] = pristine  # repro-lint: disable=RL006
+                    clean_pred = clean_logits.argmax(axis=1)
+                    faulted_pred = faulted_logits.argmax(axis=1)
+                    correct += int((faulted_pred == labels).sum())
+                    total += len(labels)
+                    batch = len(labels)
+                    # (layer, sample) per-sample relative deviation matrix for
+                    # first-divergence scanning.
+                    rel = np.zeros((len(self.layers), batch))
+                    seen = np.zeros(len(self.layers), dtype=bool)
+                    for index, (name, _) in enumerate(self.layers):
+                        if index not in clean_acts or index not in fault_acts:
+                            continue
+                        clean = clean_acts[index]
+                        fault = fault_acts[index]
+                        delta = fault - clean
+                        entry = sums[name]
+                        entry.sum_sq_dev += float(np.sum(delta * delta))
+                        entry.sum_sq_clean += float(np.sum(clean * clean))
+                        entry.sum_dot += float(np.sum(clean * fault))
+                        entry.sum_sq_fault += float(np.sum(fault * fault))
+                        entry.perturbed += int((np.abs(delta) > cfg.tol).sum())
+                        entry.elements += delta.size
+                        if clean.shape[0] == batch:
+                            # axis=() (1-D outputs) is the identity reduction:
+                            # the per-sample "norm" is just |delta| elementwise.
+                            axes = tuple(range(1, delta.ndim))
+                            dev_norm = np.sqrt(np.sum(delta * delta, axis=axes))
+                            clean_norm = np.sqrt(np.sum(clean * clean, axis=axes))
+                            rel[index] = dev_norm / np.maximum(clean_norm, _TINY)
+                            seen[index] = True
+                    flips = np.flatnonzero(faulted_pred != clean_pred)
+                    flipped += len(flips)
+                    if len(flips):
+                        exceeded = (rel > cfg.threshold) & seen[:, None]
+                        for sample in flips:
+                            column = exceeded[:, sample]
+                            if column.any():
+                                index = int(np.argmax(column))
+                                sums[self.layers[index][0]].first_divergence += 1
+                            else:
+                                undiverged += 1
         finally:
             for handle in handles:
                 handle.remove()

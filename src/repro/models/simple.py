@@ -49,9 +49,6 @@ class MLP(nn.Module):
         self.net = nn.Sequential(*layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            # Already flat: skip the Flatten layer's no-op reshape gracefully.
-            return self.net(x)
         return self.net(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

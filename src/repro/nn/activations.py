@@ -15,18 +15,14 @@ __all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity", "Dropout"]
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        self._saved = mask = x > 0
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
+        return grad_out * self._saved
 
 
 class LeakyReLU(Module):
@@ -35,50 +31,41 @@ class LeakyReLU(Module):
     def __init__(self, negative_slope: float = 0.01) -> None:
         super().__init__()
         self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        self._saved = mask = x > 0
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, self.negative_slope * grad_out)
+        return np.where(self._saved, grad_out, self.negative_slope * grad_out)
 
 
 class Tanh(Module):
     """Hyperbolic tangent."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        self._saved = out = np.tanh(x)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._out**2)
+        return grad_out * (1.0 - self._saved**2)
 
 
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-x))
-        return self._out
+        self._saved = out = 1.0 / (1.0 + np.exp(-x))
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
+        return grad_out * self._saved * (1.0 - self._saved)
 
 
 class Identity(Module):
@@ -104,17 +91,17 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = resolve_rng(rng)
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self._saved = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._saved = mask = (self.rng.random(x.shape) < keep) / keep
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        # No saved mask: the last forward was the identity (eval or p=0).
+        if self._saved is None:
             return grad_out
-        return grad_out * self._mask
+        return grad_out * self._saved

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class Conv2d(Module):
             )
         )
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
-        self._cols: Optional[np.ndarray] = None
-        self._x_shape: Optional[Tuple[int, int, int, int]] = None
-        self._out_hw: Optional[Tuple[int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -72,9 +69,7 @@ class Conv2d(Module):
                 f"expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
+        self._saved = (cols, x.shape, out_h, out_w)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ weight_mat.T  # (N*out_h*out_w, out_channels)
         if self.bias is not None:
@@ -83,19 +78,17 @@ class Conv2d(Module):
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._out_hw is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        n = self._x_shape[0]
-        out_h, out_w = self._out_hw
+        cols, x_shape, out_h, out_w = self._saved
+        n = x_shape[0]
         # (N, C_out, H, W) -> rows matching the im2col layout
         grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(
             n * out_h * out_w, self.out_channels
         )
-        self.weight.grad += (grad_rows.T @ self._cols).reshape(self.weight.shape)
+        self.weight.grad += (grad_rows.T @ cols).reshape(self.weight.shape)
         if self.bias is not None:
             self.bias.grad += grad_rows.sum(axis=0)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = grad_rows @ weight_mat
-        return col2im(
-            grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding
-        )
+        return col2im(grad_cols, x_shape, self.kernel_size, self.stride, self.padding)

@@ -6,7 +6,7 @@ and inference cost (multiply-accumulates).  This module computes those
 numbers analytically from module and activation shapes:
 
 * :func:`capture_shapes` runs one dummy forward pass (eval mode, zeros)
-  through shape-recording shims, so the cost model works for any
+  under shape-recording forward hooks, so the cost model works for any
   architecture — residual wiring included — without a parallel shape-
   inference implementation that could drift from the real ``forward``;
 * :func:`model_cost` folds the shapes into one :class:`LayerCost` per
@@ -40,7 +40,7 @@ from .activations import Dropout, LeakyReLU, ReLU, Sigmoid, Tanh
 from .conv import Conv2d
 from .functional import conv_output_size
 from .linear import Linear
-from .module import Module
+from .module import Module, no_grad
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
@@ -161,33 +161,32 @@ def capture_shapes(
 ) -> Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """``{leaf_name: (input_shape, output_shape)}`` from one dummy forward.
 
-    The forward runs in eval mode on a zeros tensor (so BatchNorm running
-    statistics and Dropout masks are untouched) and the model's training
-    mode is restored afterwards.
+    The forward runs in eval mode under :func:`no_grad` on a zeros tensor
+    (so BatchNorm running statistics, Dropout masks and saved backward
+    state are untouched) and the model's training mode is restored
+    afterwards.  Shapes are read by forward hooks, removed on exit.
     """
     shapes: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    wrapped: List[Module] = []
-    for name, leaf in _named_leaf_modules(model):
-        original = leaf.forward
 
-        def probe(x, __name=name, __original=original):
-            out = __original(x)
-            shapes[__name] = (tuple(x.shape), tuple(out.shape))
-            return out
+    def record(name: str):
+        def hook(module: Module, x: np.ndarray, out: np.ndarray) -> None:
+            shapes[name] = (tuple(x.shape), tuple(out.shape))
 
-        object.__setattr__(leaf, "forward", probe)
-        wrapped.append(leaf)
+        return hook
+
+    handles = [
+        leaf.register_forward_hook(record(name))
+        for name, leaf in _named_leaf_modules(model)
+    ]
     was_training = model.training
     model.eval()
     try:
-        model(np.zeros(tuple(input_shape)))
+        with no_grad():
+            model(np.zeros(tuple(input_shape)))
     finally:
         model.train(was_training)
-        for leaf in wrapped:
-            try:
-                object.__delattr__(leaf, "forward")
-            except AttributeError:  # pragma: no cover - already clean
-                pass
+        for handle in handles:
+            handle.remove()
     return shapes
 
 

@@ -42,23 +42,22 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_normal((out_features, in_features), rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
-        self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input (N, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        self._saved = x
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += grad_out.T @ self._input
+        self.weight.grad += grad_out.T @ self._saved
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data

@@ -2,9 +2,21 @@
 
 The framework is a small, self-contained substitute for the PyTorch layer
 stack used by the paper.  It is layer-based rather than tape-based: every
-:class:`Module` implements an explicit ``forward`` and ``backward``, and
-stores whatever intermediate values its backward pass needs on ``self``
-during ``forward``.  Gradients accumulate into :attr:`Parameter.grad`.
+:class:`Module` implements an explicit ``forward`` and ``backward``.
+Gradients accumulate into :attr:`Parameter.grad`.
+
+Saved state.  ``forward`` keeps what ``backward`` needs (im2col matrices,
+normalised activations, masks) in one attribute, ``self._saved``, and
+``backward`` raises when it is ``None``.  The state lives only while a
+backward can use it:
+
+* under :func:`no_grad`, :meth:`Module.__call__` drops it as soon as
+  ``forward`` returns, so a forward-only pass over a whole model holds one
+  layer's state at a time;
+* :meth:`Module.train` drops it when the mode changes;
+* pickling and deep copies never carry it (nor forward hooks).
+
+``eval()`` alone keeps the state, so an eval-mode backward still works.
 
 The design goal is correctness and clarity (every backward pass is verified
 against numerical gradients in the test suite), not raw speed.
@@ -14,14 +26,34 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "RemovableHandle"]
+__all__ = ["Parameter", "Module", "RemovableHandle", "no_grad"]
 
 #: Process-wide id source for hook handles (unique across all modules).
 _hook_ids = itertools.count()
+
+#: Grad mode: ``False`` inside :func:`no_grad` (per thread and per task).
+_grad_enabled: ContextVar[bool] = ContextVar("repro_nn_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run forwards that no backward follows; each layer drops its saved state.
+
+    Outputs are bit-identical to a normal forward.  Calling ``backward``
+    on a layer whose last forward ran under ``no_grad`` raises.  Nests,
+    and restores the previous mode on exit, also on an exception.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class RemovableHandle:
@@ -93,6 +125,9 @@ class Module:
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._forward_hooks: "OrderedDict[int, Callable]" = OrderedDict()
+        #: What ``backward`` needs from the last ``forward``; ``None`` when
+        #: there is nothing to backpropagate through.
+        self._saved: Any = None
         self.training = True
 
     # -- attribute registration -------------------------------------------
@@ -117,7 +152,7 @@ class Module:
 
     # -- forward / backward ------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute the layer's output, caching what backward needs."""
+        """Compute the layer's output, keeping what backward needs in ``_saved``."""
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -125,14 +160,16 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # Fast path: the dict lookup is the entire no-hook overhead, so
-        # models that never register taps pay (nearly) nothing.
+        try:
+            output = self.forward(x)
+        finally:
+            if not _grad_enabled.get():
+                self.__dict__["_saved"] = None
         hooks = self.__dict__.get("_forward_hooks")
         if not hooks:
-            return self.forward(x)
-        output = self.forward(x)
+            return output
         # Hooks run *after* forward completes, so a raising hook leaves the
-        # module's cached backward state intact and the next forward clean.
+        # module's saved backward state intact and the next forward clean.
         for hook in tuple(hooks.values()):
             result = hook(self, x, output)
             if result is not None:
@@ -163,15 +200,17 @@ class Module:
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle/deepcopy support: hook closures never travel with a model."""
+        """Pickle/deepcopy support: hook closures and saved activations
+        never travel with a model."""
         state = self.__dict__.copy()
         state["_forward_hooks"] = OrderedDict()
+        state["_saved"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        if "_forward_hooks" not in self.__dict__:
-            self.__dict__["_forward_hooks"] = OrderedDict()
+        self.__dict__.setdefault("_forward_hooks", OrderedDict())
+        self.__dict__.setdefault("_saved", None)
 
     # -- traversal ----------------------------------------------------------
     def children(self) -> Iterator["Module"]:
@@ -214,7 +253,13 @@ class Module:
 
     # -- train / eval mode ---------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects BatchNorm/Dropout)."""
+        """Set training mode recursively (affects BatchNorm/Dropout).
+
+        A module whose mode changes drops its saved backward state: it
+        was recorded under the other mode.
+        """
+        if self.training != mode:
+            self._saved = None
         self.training = mode
         for child in self._modules.values():
             child.train(mode)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .module import Module, Parameter
@@ -31,7 +29,6 @@ class _BatchNorm(Module):
         self.beta = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
-        self._cache: Optional[tuple] = None
 
     def _reduce_axes(self, x: np.ndarray) -> tuple:
         raise NotImplementedError
@@ -61,13 +58,13 @@ class _BatchNorm(Module):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        self._cache = (x_hat, inv_std, axes, shape)
+        self._saved = (x_hat, inv_std, axes, shape)
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        x_hat, inv_std, axes, shape = self._cache
+        x_hat, inv_std, axes, shape = self._saved
         self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         grad_xhat = grad_out * self.gamma.data.reshape(shape)
@@ -137,7 +134,6 @@ class GroupNorm(Module):
         self.eps = eps
         self.gamma = Parameter(np.ones(num_channels))
         self.beta = Parameter(np.zeros(num_channels))
-        self._cache: Optional[tuple] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_channels:
@@ -152,16 +148,16 @@ class GroupNorm(Module):
         var = grouped.var(axis=2, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, (n, c, h, w))
+        self._saved = (x_hat, inv_std, (n, c, h, w))
         return (
             self.gamma.data.reshape(1, c, 1, 1) * x_hat
             + self.beta.data.reshape(1, c, 1, 1)
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        x_hat, inv_std, (n, c, h, w) = self._cache
+        x_hat, inv_std, (n, c, h, w) = self._saved
         g = self.num_groups
         self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))

@@ -115,3 +115,16 @@ def test_end_to_end_ecoc_training(rng):
             opt.step()
     acc = evaluate_ecoc_accuracy(model, loader, book)
     assert acc > 80.0
+
+
+def test_ecoc_accuracy_restores_training_mode_when_a_forward_raises(rng):
+    book = generate_codebook(3, 6, rng)
+    model = MLP(8, [16], 6, rng=rng)
+    model.train()
+    # Seven features where the first Linear expects eight.
+    loader = DataLoader(
+        ArrayDataset(np.zeros((2, 7)), np.zeros(2, dtype=int)), 2
+    )
+    with pytest.raises(ValueError, match="expected input"):
+        evaluate_ecoc_accuracy(model, loader, book)
+    assert model.training

@@ -5,7 +5,7 @@ import pytest
 
 from repro import evaluate_accuracy, evaluate_defect_accuracy, nn
 from repro.datasets import ArrayDataset, DataLoader
-from repro.models import MLP
+from repro.models import MLP, resnet8
 
 
 class ConstantModel(nn.Module):
@@ -46,6 +46,21 @@ def test_accuracy_restores_training_mode():
     model.eval()
     evaluate_accuracy(model, make_loader([0, 1]))
     assert not model.training
+
+
+def test_accuracy_restores_modes_when_a_forward_raises():
+    model = resnet8(num_classes=2, base_width=4, rng=np.random.default_rng(0))
+    model.train()
+    # One channel where the stem conv expects three.
+    loader = DataLoader(
+        ArrayDataset(np.zeros((2, 1, 8, 8)), np.zeros(2, dtype=int)), 2
+    )
+    with pytest.raises(ValueError, match="expected input"):
+        evaluate_accuracy(model, loader)
+    assert model.training
+    # Grad mode is back on: a plain forward keeps its backward state.
+    model(np.zeros((2, 3, 8, 8)))
+    assert model.stem[0]._saved is not None
 
 
 def test_accuracy_empty_loader_raises():
