@@ -38,8 +38,8 @@ def test_conv_forward_throughput(benchmark):
     _run_registered(benchmark, "conv2d/forward")
 
 
-def test_conv_backward_throughput(benchmark):
-    _run_registered(benchmark, "conv2d/backward")
+def test_conv_train_step_throughput(benchmark):
+    _run_registered(benchmark, "conv2d/train_step")
 
 
 def test_resnet8_forward_throughput(benchmark):

@@ -4,8 +4,9 @@ Importing this module registers every case on the default registry (the
 CLI and the pytest-benchmark wrappers both import it).  Cases cover the
 kernels the paper's pipeline spends its time in:
 
-* ``conv2d/forward`` / ``conv2d/backward`` — the numpy convolution every
-  model forward/backward bottoms out in;
+* ``conv2d/forward`` / ``conv2d/train_step`` — the numpy convolution
+  every model forward/backward bottoms out in (a backward consumes its
+  forward's saved state, so the training case times the pair);
 * ``faults/sample_fault_map`` / ``faults/apply`` — the per-step fault
   draw that stochastic fault-tolerant training performs on *every*
   forward pass;
@@ -95,15 +96,16 @@ def _conv_forward(state):
 
 
 @benchmark(
-    "conv2d/backward",
+    "conv2d/train_step",
     params={
         "fast": {"batch": 4, "cin": 8, "cout": 16, "size": 10},
         "full": {"batch": 8, "cin": 16, "cout": 32, "size": 12},
     },
     setup=_conv_setup,
-    description="Conv2d backward pass (input + weight gradients)",
+    description="Conv2d forward + backward pass (input + weight gradients)",
 )
-def _conv_backward(state):
+def _conv_train_step(state):
+    state["layer"](state["x"])
     return state["layer"].backward(state["grad"])
 
 

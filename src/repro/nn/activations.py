@@ -11,6 +11,9 @@ from .module import Module
 
 __all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity", "Dropout"]
 
+#: Dropout's saved state after an identity forward (eval mode or ``p == 0``).
+_IDENTITY = "identity"
+
 
 class ReLU(Module):
     """Rectified linear unit."""
@@ -20,9 +23,7 @@ class ReLU(Module):
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._saved
+        return grad_out * self._pop_saved()
 
 
 class LeakyReLU(Module):
@@ -37,9 +38,8 @@ class LeakyReLU(Module):
         return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._saved, grad_out, self.negative_slope * grad_out)
+        mask = self._pop_saved()
+        return np.where(mask, grad_out, self.negative_slope * grad_out)
 
 
 class Tanh(Module):
@@ -50,9 +50,8 @@ class Tanh(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._saved**2)
+        out = self._pop_saved()
+        return grad_out * (1.0 - out**2)
 
 
 class Sigmoid(Module):
@@ -63,9 +62,8 @@ class Sigmoid(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._saved * (1.0 - self._saved)
+        out = self._pop_saved()
+        return grad_out * out * (1.0 - out)
 
 
 class Identity(Module):
@@ -94,14 +92,15 @@ class Dropout(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._saved = None
+            # Recorded, so a backward without a forward still raises.
+            self._saved = _IDENTITY
             return x
         keep = 1.0 - self.p
         self._saved = mask = (self.rng.random(x.shape) < keep) / keep
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        # No saved mask: the last forward was the identity (eval or p=0).
-        if self._saved is None:
+        mask = self._pop_saved()
+        if mask is _IDENTITY:
             return grad_out
-        return grad_out * self._saved
+        return grad_out * mask

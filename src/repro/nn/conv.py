@@ -69,7 +69,8 @@ class Conv2d(Module):
                 f"expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        self._saved = (cols, x.shape, out_h, out_w)
+        # The input, not its k*k-times larger patches: backward rebuilds them.
+        self._saved = x
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ weight_mat.T  # (N*out_h*out_w, out_channels)
         if self.bias is not None:
@@ -78,17 +79,16 @@ class Conv2d(Module):
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        cols, x_shape, out_h, out_w = self._saved
-        n = x_shape[0]
+        x = self._pop_saved()
+        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
         # (N, C_out, H, W) -> rows matching the im2col layout
         grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(
-            n * out_h * out_w, self.out_channels
+            x.shape[0] * out_h * out_w, self.out_channels
         )
         self.weight.grad += (grad_rows.T @ cols).reshape(self.weight.shape)
+        del cols  # free the patches before grad_cols, which is as large
         if self.bias is not None:
             self.bias.grad += grad_rows.sum(axis=0)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = grad_rows @ weight_mat
-        return col2im(grad_cols, x_shape, self.kernel_size, self.stride, self.padding)
+        return col2im(grad_cols, x.shape, self.kernel_size, self.stride, self.padding)

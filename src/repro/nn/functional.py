@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 
+#: Patch bytes :func:`col2im` scatters per block of images (fits in L2).
+_COL2IM_BLOCK_BYTES = 1 << 20
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one axis."""
     out = (size + 2 * padding - kernel) // stride + 1
@@ -39,9 +43,10 @@ def pad2d(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the two trailing spatial axes of an NCHW tensor."""
     if padding == 0:
         return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-    )
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    padded[:, :, padding:-padding, padding:-padding] = x
+    return padded
 
 
 def unpad2d(x: np.ndarray, padding: int) -> np.ndarray:
@@ -64,20 +69,24 @@ def im2col(
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     x_padded = pad2d(x, padding)
+    if kernel > 1 and x_padded.strides[3] != x_padded.itemsize:
+        # The copy below needs adjacent elements along W.
+        x_padded = np.ascontiguousarray(x_padded)
 
-    # Strided view: (N, C, out_h, out_w, kernel, kernel)
+    # Strided view already in row order: (N, out_h, out_w, C, kernel, kernel)
     sn, sc, sh, sw = x_padded.strides
     patches = np.lib.stride_tricks.as_strided(
         x_padded,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(n, out_h, out_w, c, kernel, kernel),
+        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
         writeable=False,
     )
-    # -> (N, out_h, out_w, C, kernel, kernel) -> rows
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel * kernel
-    )
-    return np.ascontiguousarray(cols), out_h, out_w
+    cols = np.empty((n * out_h * out_w, c * kernel * kernel), dtype=x.dtype)
+    # One kernel row is ``kernel`` adjacent input elements: copy it as one
+    # opaque item, so the copy loop runs 1/kernel as many iterations.
+    row = np.dtype((np.void, kernel * x.itemsize))
+    np.copyto(cols.reshape(patches.shape).view(row), patches.view(row))
+    return cols, out_h, out_w
 
 
 def col2im(
@@ -93,19 +102,24 @@ def col2im(
     out_w = conv_output_size(w, kernel, stride, padding)
     h_padded, w_padded = h + 2 * padding, w + 2 * padding
 
-    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(
-        0, 3, 1, 2, 4, 5
-    )
+    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel)
     x_padded = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
-    # Accumulate each kernel offset in a vectorised pass; patches at distinct
-    # output pixels may overlap in the input, so this must be "+=".
-    for ki in range(kernel):
-        i_max = ki + stride * out_h
-        for kj in range(kernel):
-            j_max = kj + stride * out_w
-            x_padded[:, :, ki:i_max:stride, kj:j_max:stride] += patches[
-                :, :, :, :, ki, kj
-            ]
+    # Accumulate through an (N, H, W, C) view, which walks ``patches`` in
+    # memory order; the buffer (and so the result's strides) stays NCHW.
+    # Patches at distinct output pixels may overlap in the input, so each
+    # kernel offset is a vectorised "+=", in a fixed (ki, kj) order.  Images
+    # go in blocks small enough that the kernel*kernel passes over a block
+    # re-read its patches from cache.
+    x_nhwc = x_padded.transpose(0, 2, 3, 1)
+    block = max(1, _COL2IM_BLOCK_BYTES * n // max(cols.nbytes, 1))
+    for start in range(0, n, block):
+        dst = x_nhwc[start : start + block]
+        src = patches[start : start + block]
+        for ki in range(kernel):
+            i_max = ki + stride * out_h
+            for kj in range(kernel):
+                j_max = kj + stride * out_w
+                dst[:, ki:i_max:stride, kj:j_max:stride] += src[..., ki, kj]
     if padding:
         return x_padded[:, :, padding:-padding, padding:-padding]
     return x_padded

@@ -55,9 +55,7 @@ class Linear(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += grad_out.T @ self._saved
+        self.weight.grad += grad_out.T @ self._pop_saved()
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data

@@ -62,9 +62,7 @@ class _BatchNorm(Module):
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, inv_std, axes, shape = self._saved
+        x_hat, inv_std, axes, shape = self._pop_saved()
         self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         grad_xhat = grad_out * self.gamma.data.reshape(shape)
@@ -155,9 +153,7 @@ class GroupNorm(Module):
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, inv_std, (n, c, h, w) = self._saved
+        x_hat, inv_std, (n, c, h, w) = self._pop_saved()
         g = self.num_groups
         self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))

@@ -34,9 +34,7 @@ class MaxPool2d(Module):
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        argmax, (n, c, h, w), out_h, out_w = self._saved
+        argmax, (n, c, h, w), out_h, out_w = self._pop_saved()
         k, s = self.kernel_size, self.stride
         grad_rows = grad_out.reshape(n * c * out_h * out_w)
         grad_cols = np.zeros((grad_rows.shape[0], k * k), dtype=grad_out.dtype)
@@ -65,9 +63,7 @@ class AvgPool2d(Module):
         return cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._saved
+        n, c, h, w = self._pop_saved()
         k, s = self.kernel_size, self.stride
         grad_rows = grad_out.reshape(-1, 1) / (k * k)
         grad_cols = np.broadcast_to(grad_rows, (grad_rows.shape[0], k * k))
@@ -83,12 +79,8 @@ class GlobalAvgPool2d(Module):
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._saved
-        return np.broadcast_to(
-            grad_out[:, :, None, None] / (h * w), self._saved
-        ).copy()
+        n, c, h, w = shape = self._pop_saved()
+        return np.broadcast_to(grad_out[:, :, None, None] / (h * w), shape).copy()
 
 
 class Flatten(Module):
@@ -99,6 +91,4 @@ class Flatten(Module):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._saved)
+        return grad_out.reshape(self._pop_saved())

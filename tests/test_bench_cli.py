@@ -37,7 +37,7 @@ def test_list_shows_default_suite(capsys):
     out = capsys.readouterr().out
     for name in (
         "conv2d/forward",
-        "conv2d/backward",
+        "conv2d/train_step",
         "faults/sample_fault_map",
         "faults/apply",
         "crossbar/map_matrix",

@@ -59,6 +59,124 @@ def test_col2im_is_adjoint_of_im2col(rng):
     assert abs(lhs - rhs) < 1e-10
 
 
+# -- bit-identity against the plain lowering --------------------------------
+# The kernels in repro.nn.functional are data-movement optimisations of the
+# straightforward lowering below.  Results, and col2im's output strides
+# (downstream BatchNorm reductions sum in memory order), must not change.
+def _reference_im2col(x, kernel, stride, padding):
+    n, c, h, w = x.shape
+    out_h = F.conv_output_size(h, kernel, stride, padding)
+    out_w = F.conv_output_size(w, kernel, stride, padding)
+    if padding:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+            mode="constant",
+        )
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kernel, kernel),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        writeable=False,
+    )
+    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n * out_h * out_w, c * kernel * kernel
+    )
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _reference_col2im(cols, x_shape, kernel, stride, padding):
+    n, c, h, w = x_shape
+    out_h = F.conv_output_size(h, kernel, stride, padding)
+    out_w = F.conv_output_size(w, kernel, stride, padding)
+    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(
+        0, 3, 1, 2, 4, 5
+    )
+    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for ki in range(kernel):
+        i_max = ki + stride * out_h
+        for kj in range(kernel):
+            j_max = kj + stride * out_w
+            x_padded[:, :, ki:i_max:stride, kj:j_max:stride] += patches[
+                :, :, :, :, ki, kj
+            ]
+    if padding:
+        return x_padded[:, :, padding:-padding, padding:-padding]
+    return x_padded
+
+
+def _layouts(x):
+    """The same NCHW values in NCHW memory and in NHWC memory.
+
+    A Conv2d output is a transposed view of NHWC memory, so the next
+    layer's im2col sees both layouts.
+    """
+    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return {"nchw": x, "nhwc": nhwc}
+
+
+KERNEL_CASES = [
+    (kernel, stride, padding)
+    for kernel in (1, 3, 5)
+    for stride in (1, 2)
+    for padding in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("kernel,stride,padding", KERNEL_CASES)
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_im2col_matches_reference_bit_for_bit(kernel, stride, padding, layout):
+    x = _layouts(np.random.default_rng(kernel).normal(size=(2, 3, 7, 6)))[layout]
+    got, out_h, out_w = F.im2col(x, kernel, stride, padding)
+    want, ref_h, ref_w = _reference_im2col(x, kernel, stride, padding)
+    assert (out_h, out_w) == (ref_h, ref_w)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", KERNEL_CASES)
+@pytest.mark.parametrize("blocked", [False, True], ids=["one_block", "per_image"])
+def test_col2im_matches_reference_bit_for_bit(
+    kernel, stride, padding, blocked, monkeypatch
+):
+    if blocked:  # one image per block, as large batches are split
+        monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES", 1)
+    x_shape = (2, 3, 7, 6)
+    out_h = F.conv_output_size(7, kernel, stride, padding)
+    out_w = F.conv_output_size(6, kernel, stride, padding)
+    cols = np.random.default_rng(stride).normal(
+        size=(2 * out_h * out_w, 3 * kernel * kernel)
+    )
+    got = F.col2im(cols, x_shape, kernel, stride, padding)
+    want = _reference_col2im(cols, x_shape, kernel, stride, padding)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1)])
+def test_pooling_shapes_match_reference_bit_for_bit(kernel, stride):
+    """Pooling lowers each channel as a C = 1 image."""
+    x = np.random.default_rng(0).normal(size=(2, 4, 8, 8))
+    for layout in _layouts(x).values():
+        flat = layout.reshape(8, 1, 8, 8)
+        got, _, _ = F.im2col(flat, kernel, stride, 0)
+        want, _, _ = _reference_im2col(flat, kernel, stride, 0)
+        assert np.array_equal(got, want)
+    cols = np.random.default_rng(1).normal(size=got.shape)
+    got = F.col2im(cols, (8, 1, 8, 8), kernel, stride, 0)
+    want = _reference_col2im(cols, (8, 1, 8, 8), kernel, stride, 0)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
+def test_pad2d_matches_np_pad(rng):
+    for x in _layouts(rng.normal(size=(2, 3, 4, 5))).values():
+        got = F.pad2d(x, 2)
+        want = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="constant")
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+
+
 def test_softmax_rows_sum_to_one(rng):
     logits = rng.normal(size=(5, 7)) * 10
     s = F.softmax(logits, axis=1)

@@ -1,8 +1,8 @@
 """Lifetime of the backward state a layer keeps in ``_saved``.
 
-The rule: ``forward`` saves what ``backward`` needs; ``no_grad`` drops it
-as soon as each forward returns; a train/eval switch drops it; pickles
-and deep copies never carry it.
+The rule: ``forward`` saves what ``backward`` needs; ``backward`` consumes
+it; ``no_grad`` drops it as soon as each forward returns; a train/eval
+switch drops it; pickles and deep copies never carry it.
 """
 
 import copy
@@ -17,6 +17,7 @@ from repro.datasets import ArrayDataset, DataLoader
 from repro.experiments import clone_model
 from repro.forensics import named_leaf_modules
 from repro.models import resnet8
+from repro.nn import functional as F
 from repro.nn.cost import capture_shapes
 
 
@@ -101,7 +102,20 @@ LAYERS = {
     "leakyrelu": (nn.LeakyReLU, (2, 4)),
     "tanh": (nn.Tanh, (2, 4)),
     "sigmoid": (nn.Sigmoid, (2, 4)),
+    "dropout": (lambda: nn.Dropout(0.5), (2, 4)),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(LAYERS))
+def test_second_backward_after_one_forward_raises(kind):
+    """``backward`` consumes the state, as PyTorch frees its graph."""
+    factory, shape = LAYERS[kind]
+    layer = factory()
+    out = layer(np.random.default_rng(0).normal(size=shape))
+    layer.backward(np.ones_like(out))
+    assert layer._saved is None
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.ones_like(out))
 
 
 @pytest.mark.parametrize("kind", sorted(LAYERS))
@@ -116,6 +130,71 @@ def test_backward_after_no_grad_forward_raises(kind):
     assert layer._saved is None
     with pytest.raises(RuntimeError, match="backward called before forward"):
         layer.backward(np.ones_like(out))
+
+
+def test_model_backward_leaves_no_state():
+    model = _model()
+    images, labels = _batch()
+    _train_step(model, images, labels)
+    assert not _holds_state(model)
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        model.backward(np.ones((len(labels), 4)))
+
+
+# -- Dropout ------------------------------------------------------------------
+def test_dropout_backward_without_forward_raises():
+    layer = nn.Dropout(0.5)
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "layer", [nn.Dropout(0.5).eval(), nn.Dropout(0.0)], ids=["eval", "p0"]
+)
+def test_dropout_identity_forward_has_identity_backward(layer):
+    x = np.random.default_rng(0).normal(size=(2, 3))
+    grad = np.random.default_rng(1).normal(size=(2, 3))
+    assert layer(x) is x
+    assert layer.backward(grad) is grad
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(grad)
+
+
+# -- Conv2d keeps its input, not its patches ----------------------------------
+def _reference_conv_backward(layer, x, grad_out):
+    """The backward that saved ``cols`` in forward; returns all gradients."""
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+    cols, out_h, out_w = F.im2col(x, k, s, p)
+    grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(
+        x.shape[0] * out_h * out_w, layer.out_channels
+    )
+    weight_mat = layer.weight.data.reshape(layer.out_channels, -1)
+    return (
+        F.col2im(grad_rows @ weight_mat, x.shape, k, s, p),
+        (grad_rows.T @ cols).reshape(layer.weight.shape),
+        grad_rows.sum(axis=0),
+    )
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 2, 0)])
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_conv_gradients_are_bit_identical_to_saving_cols(
+    kernel, stride, padding, layout
+):
+    rng = np.random.default_rng(kernel + stride)
+    layer = nn.Conv2d(3, 4, kernel, stride=stride, padding=padding, rng=rng)
+    x = rng.normal(size=(2, 3, 6, 6))
+    if layout == "nhwc":  # a previous conv's output: NHWC memory
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    out = layer(x)
+    assert layer._saved is x  # by reference, like Linear
+    grad_out = rng.normal(size=out.shape)
+    want_x, want_w, want_b = _reference_conv_backward(layer, x, grad_out)
+    got_x = layer.backward(grad_out)
+    assert np.array_equal(got_x, want_x)
+    assert got_x.strides == want_x.strides
+    assert np.array_equal(layer.weight.grad, want_w)
+    assert np.array_equal(layer.bias.grad, want_b)
 
 
 def test_backward_after_no_grad_model_forward_raises():
@@ -140,6 +219,7 @@ def test_mode_switch_drops_state_and_same_mode_keeps_it():
     model = _model()
     images, labels = _batch()
     _train_step(model, images, labels)
+    model(images)  # a forward whose backward is still to come
     assert _holds_state(model)
     model.train()  # no switch: a pending backward stays possible
     assert _holds_state(model)
@@ -174,6 +254,7 @@ def test_copies_of_a_just_trained_model_carry_no_state(copier):
     model = _model()
     images, labels = _batch()
     _train_step(model, images, labels)
+    model(images)  # mid-step: the forward's state waits for a backward
     held = len(_holds_state(model))
     assert held
     twin = copier(model)
@@ -202,7 +283,21 @@ def test_training_after_mode_round_trips_matches_plain_training():
         assert np.array_equal(a.grad, b.grad)
 
 
-# -- memory guard -------------------------------------------------------------
+# -- memory guards ------------------------------------------------------------
+GUARD_SHAPE = (64, 3, 8, 8)
+
+
+def _im2col_bytes(model):
+    """Summed bytes of every conv's im2col matrix on a GUARD_SHAPE batch."""
+    shapes = capture_shapes(model, GUARD_SHAPE)
+    total = 0
+    for name, leaf in named_leaf_modules(model):
+        if isinstance(leaf, nn.Conv2d):
+            (n, c, _, _), (_, _, out_h, out_w) = shapes[name]
+            total += n * out_h * out_w * c * leaf.kernel_size**2 * 8
+    return total
+
+
 def test_evaluation_peak_stays_below_one_copy_of_every_im2col():
     """A forward-only evaluation holds one layer's im2col at a time.
 
@@ -211,18 +306,14 @@ def test_evaluation_peak_stays_below_one_copy_of_every_im2col():
     """
     rng = np.random.default_rng(0)
     model = resnet8(num_classes=4, base_width=8, rng=rng)
-    shape = (64, 3, 8, 8)
     loader = DataLoader(
-        ArrayDataset(rng.normal(size=shape), rng.integers(0, 4, shape[0])),
-        shape[0],
+        ArrayDataset(
+            rng.normal(size=GUARD_SHAPE), rng.integers(0, 4, GUARD_SHAPE[0])
+        ),
+        GUARD_SHAPE[0],
         shuffle=False,
     )
-    shapes = capture_shapes(model, shape)
-    im2col_bytes = 0
-    for name, leaf in named_leaf_modules(model):
-        if isinstance(leaf, nn.Conv2d):
-            (n, c, _, _), (_, _, out_h, out_w) = shapes[name]
-            im2col_bytes += n * out_h * out_w * c * leaf.kernel_size**2 * 8
+    im2col_bytes = _im2col_bytes(model)
     evaluate_accuracy(model, loader)  # warm: first-call allocations
     tracemalloc.start()
     try:
@@ -231,3 +322,26 @@ def test_evaluation_peak_stays_below_one_copy_of_every_im2col():
     finally:
         tracemalloc.stop()
     assert peak < im2col_bytes
+
+
+def test_training_step_peak_stays_below_one_copy_of_every_im2col():
+    """A training step keeps inputs, not patches, and frees them as it goes.
+
+    Saving every conv's ``cols`` until the end of backward made the traced
+    peak of one step exceed the sum of all of them, and left them alive
+    after the step.
+    """
+    rng = np.random.default_rng(0)
+    model = resnet8(num_classes=4, base_width=8, rng=rng)
+    images = rng.normal(size=GUARD_SHAPE)
+    labels = rng.integers(0, 4, GUARD_SHAPE[0])
+    im2col_bytes = _im2col_bytes(model)
+    _train_step(model, images, labels)  # warm: grads and first-call buffers
+    tracemalloc.start()
+    try:
+        _train_step(model, images, labels)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < im2col_bytes
+    assert left < 64 * 1024  # nothing of the step outlives it
