@@ -86,7 +86,8 @@ def _conv_setup(params: dict, rng: np.random.Generator) -> dict:
     "conv2d/forward",
     params={
         "fast": {"batch": 4, "cin": 8, "cout": 16, "size": 10},
-        "full": {"batch": 8, "cin": 16, "cout": 32, "size": 12},
+        # The bench ResNet-8 stage-1 conv on a test batch: 17 image blocks.
+        "full": {"batch": 100, "cin": 16, "cout": 16, "size": 12},
     },
     setup=_conv_setup,
     description="Conv2d forward pass (3x3, padded)",

@@ -65,6 +65,7 @@ class DataLoader:
             if self.drop_last and len(batch_idx) < self.batch_size:
                 break
             samples = [self.dataset[int(i)] for i in batch_idx]
-            images = np.stack([s[0] for s in samples]).astype(np.float64)
+            images = np.stack([s[0] for s in samples])
+            images = images.astype(np.float64, copy=False)  # no 2nd copy
             labels = np.asarray([s[1] for s in samples], dtype=np.int64)
             yield images, labels

@@ -1,17 +1,55 @@
-"""2-D convolution layer via im2col lowering."""
+"""2-D convolution layer via im2col lowering, one block of images at a time."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..seeding import resolve_rng
 from . import init
-from .functional import col2im, im2col
+from .functional import col2im, conv_output_size, im2col, image_blocks
 from .module import Module, Parameter
 
-__all__ = ["Conv2d"]
+__all__ = ["Conv2d", "conv2d_blocks"]
+
+
+def conv2d_blocks(
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out_channels: int,
+    matmul: Callable[[np.ndarray, np.ndarray], None],
+    bias: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Convolve NCHW ``x`` by lowering one block of images at a time.
+
+    The batch splits into near-equal blocks
+    (:func:`~repro.nn.functional.image_blocks`) whose im2col patches fit
+    the L2-sized budget :func:`col2im` also uses, so no whole-batch patch
+    matrix is ever built.  For each block, ``matmul(cols, rows)`` writes
+    the product of the block's patches (one row per output pixel) and the
+    weights into ``rows``, the block's rows of one ``(N * out_h *
+    out_w, out_channels)`` buffer; ``bias`` is added there in place.
+    Returns that buffer as an ``(N, out_channels, out_h, out_w)`` view
+    (NHWC memory).
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    pixels = out_h * out_w
+    dtype = np.result_type(x.dtype, np.float64)
+    rows = np.empty((n * pixels, out_channels), dtype)
+    out = rows.reshape(n, out_h, out_w, out_channels)
+    image_bytes = pixels * c * kernel * kernel * x.itemsize
+    for start, stop in image_blocks(n, image_bytes):
+        cols, _, _ = im2col(x[start:stop], kernel, stride, padding)
+        block_rows = rows[start * pixels : stop * pixels]
+        matmul(cols, block_rows)
+        if bias is not None:
+            block_rows += bias
+    return out.transpose(0, 3, 1, 2)
 
 
 class Conv2d(Module):
@@ -19,6 +57,14 @@ class Conv2d(Module):
 
     Only square kernels are supported — every network in the paper
     (CIFAR-style ResNets) uses 3x3 and 1x1 kernels.
+
+    ``forward`` runs one GEMM per block of images (:func:`conv2d_blocks`),
+    so it never holds the whole batch's im2col patches; ``backward``
+    rebuilds them from the saved input for one whole-batch weight-gradient
+    GEMM.  On every conv of the model zoo the blocked output equals the
+    whole-batch GEMM bit for bit.  In general it agrees to
+    ``1e-12 * max|out|``: BLAS picks its GEMM kernel by matrix size and
+    CPU model, so a block's rows may round differently in the last bits.
 
     Parameters
     ----------
@@ -68,15 +114,19 @@ class Conv2d(Module):
             raise ValueError(
                 f"expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
+        weight_t = self.weight.data.reshape(self.out_channels, -1).T
+        out = conv2d_blocks(
+            x,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            self.out_channels,
+            lambda cols, rows: np.matmul(cols, weight_t, out=rows),
+            None if self.bias is None else self.bias.data,
+        )
         # The input, not its k*k-times larger patches: backward rebuilds them.
         self._saved = x
-        weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ weight_mat.T  # (N*out_h*out_w, out_channels)
-        if self.bias is not None:
-            out = out + self.bias.data
-        n = x.shape[0]
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._pop_saved()

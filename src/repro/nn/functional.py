@@ -1,19 +1,21 @@
 """Low-level array operations shared by the layers.
 
 The convolution layers are built on the classic ``im2col``/``col2im``
-lowering: a convolution becomes one big matrix multiply, and its backward
-pass becomes a matrix multiply plus a ``col2im`` scatter.  This keeps every
-gradient an explicit, testable numpy expression.
+lowering: a convolution becomes one matrix multiply per block of images
+(:func:`repro.nn.conv.conv2d_blocks`), and its backward pass becomes a
+matrix multiply plus a ``col2im`` scatter.  This keeps every gradient an
+explicit, testable numpy expression.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = [
     "conv_output_size",
+    "image_blocks",
     "im2col",
     "col2im",
     "pad2d",
@@ -24,8 +26,23 @@ __all__ = [
 ]
 
 
-#: Patch bytes :func:`col2im` scatters per block of images (fits in L2).
-_COL2IM_BLOCK_BYTES = 1 << 20
+#: Patch bytes per block of images (fits in L2): :func:`col2im` scatters
+#: one block at a time, and a convolution forward lowers one at a time.
+_BLOCK_BYTES = 1 << 20
+
+
+def image_blocks(n: int, image_bytes: int) -> List[Tuple[int, int]]:
+    """Split ``n`` images into ``(start, stop)`` blocks of near-equal size.
+
+    A block holds at most ``_BLOCK_BYTES`` of per-image data, or one image
+    when an image alone is larger.  Sizes differ by at most one image, so
+    there is never a short tail (BLAS picks its GEMM kernel by matrix
+    size).  An empty batch is one empty block.
+    """
+    per_block = max(1, _BLOCK_BYTES // max(image_bytes, 1))
+    blocks = max(1, -(-n // per_block))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -111,10 +128,9 @@ def col2im(
     # go in blocks small enough that the kernel*kernel passes over a block
     # re-read its patches from cache.
     x_nhwc = x_padded.transpose(0, 2, 3, 1)
-    block = max(1, _COL2IM_BLOCK_BYTES * n // max(cols.nbytes, 1))
-    for start in range(0, n, block):
-        dst = x_nhwc[start : start + block]
-        src = patches[start : start + block]
+    for start, stop in image_blocks(n, cols.nbytes // max(n, 1)):
+        dst = x_nhwc[start:stop]
+        src = patches[start:stop]
         for ki in range(kernel):
             i_max = ki + stride * out_h
             for kj in range(kernel):

@@ -23,6 +23,8 @@ state lives only while a backward can use it:
 State is sized to what ``backward`` cannot cheaply recompute: ``Conv2d``
 keeps its input by reference and rebuilds its im2col patches in
 ``backward`` (9x smaller for a 3x3 kernel, and gradients are bit-identical).
+Its forward never builds the whole batch's patches: it lowers one
+L2-sized block of images at a time, one GEMM per block.
 
 The design goal is correctness and clarity (every backward pass is verified
 against numerical gradients in the test suite), not raw speed.

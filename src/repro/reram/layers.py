@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
-from ..nn.functional import im2col
+from ..nn.conv import conv2d_blocks
 from .adc import ADCModel, BitSerialMVM
 from .faults import StuckAtFaultSpec
 from .mapper import CrossbarMapper, MappedMatrix
@@ -89,7 +89,14 @@ class AnalogLinear(_AnalogBase):
 
 
 class AnalogConv2d(_AnalogBase):
-    """Conv2d lowered to im2col and computed on crossbars."""
+    """Conv2d lowered to im2col and computed on crossbars.
+
+    Shares :func:`repro.nn.conv.conv2d_blocks` with ``Conv2d``: one
+    crossbar MVM per block of images, never a whole-batch patch matrix.
+    The DAC ranges each input row on its own, so the rows of one block
+    quantise as they would in the whole batch.  The crossbar GEMMs see a
+    block's rows only, so they round like ``Conv2d``'s (see there).
+    """
 
     @classmethod
     def from_conv(
@@ -111,15 +118,17 @@ class AnalogConv2d(_AnalogBase):
         return analog
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        cols, out_h, out_w = im2col(
-            x, self.kernel_size, self.stride, self.padding
-        )
-        out = self._mvm(cols)
-        if self.bias_value is not None:
-            out = out + self.bias_value
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(
-            0, 3, 1, 2
+        def matmul(cols: np.ndarray, rows: np.ndarray) -> None:
+            rows[...] = self._mvm(cols)
+
+        return conv2d_blocks(
+            x,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            self.out_channels,
+            matmul,
+            self.bias_value,
         )
 
 

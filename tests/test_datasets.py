@@ -1,5 +1,7 @@
 """Tests for datasets, loaders and transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,35 @@ def test_loader_batch_types():
     images, labels = next(iter(loader))
     assert images.dtype == np.float64
     assert labels.dtype == np.int64
+
+
+def test_loader_builds_a_float64_batch_with_one_copy():
+    """Stacking already yields float64; the cast must not copy it again."""
+    ds = ArrayDataset(
+        np.random.default_rng(0).normal(size=(100, 3, 12, 12)), np.zeros(100, int)
+    )
+    loader = DataLoader(ds, 100, shuffle=False)
+    next(iter(loader))  # warm
+    tracemalloc.start()
+    try:
+        images, _ = next(iter(loader))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * images.nbytes  # two copies peaked at 2.05x
+    assert images.dtype == np.float64
+    assert np.array_equal(images, ds.images)
+
+
+def test_loader_casts_other_dtypes_to_float64():
+    ds = ArrayDataset(
+        np.arange(24.0).reshape(2, 3, 2, 2),
+        [0, 1],
+        transform=lambda image: image.astype(np.float32),
+    )
+    images, _ = next(iter(DataLoader(ds, 2, shuffle=False)))
+    assert images.dtype == np.float64
+    assert np.array_equal(images, np.arange(24.0).reshape(2, 3, 2, 2))
 
 
 def test_loader_invalid_batch_size():

@@ -140,7 +140,7 @@ def test_col2im_matches_reference_bit_for_bit(
     kernel, stride, padding, blocked, monkeypatch
 ):
     if blocked:  # one image per block, as large batches are split
-        monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES", 1)
+        monkeypatch.setattr(F, "_BLOCK_BYTES", 1)
     x_shape = (2, 3, 7, 6)
     out_h = F.conv_output_size(7, kernel, stride, padding)
     out_w = F.conv_output_size(6, kernel, stride, padding)

@@ -19,6 +19,7 @@ from repro.forensics import named_leaf_modules
 from repro.models import resnet8
 from repro.nn import functional as F
 from repro.nn.cost import capture_shapes
+from repro.reram import ADCModel, AnalogConv2d, CrossbarMapper
 
 
 def _holds_state(model):
@@ -345,3 +346,49 @@ def test_training_step_peak_stays_below_one_copy_of_every_im2col():
         tracemalloc.stop()
     assert peak < im2col_bytes
     assert left < 64 * 1024  # nothing of the step outlives it
+
+
+#: The bench test batch and its stage-1 conv: 100 images, 16 -> 16, 12x12.
+STAGE1_SHAPE = (100, 16, 12, 12)
+#: That conv's whole-batch im2col: 100 * 12 * 12 rows of 16 * 3 * 3 (16.6 MB).
+STAGE1_IM2COL_BYTES = 100 * 12 * 12 * 16 * 9 * 8
+
+
+def test_evaluation_forward_never_holds_a_whole_batch_im2col():
+    """Convolutions lower one block of images at a time.
+
+    Lowering the whole test batch at once made a warm evaluation peak at
+    22.1 MiB, above the largest conv's im2col alone.
+    """
+    rng = np.random.default_rng(0)
+    model = resnet8(num_classes=10, base_width=16, rng=rng)
+    loader = DataLoader(
+        ArrayDataset(rng.normal(size=(100, 3, 12, 12)), rng.integers(0, 10, 100)),
+        100,
+        shuffle=False,
+    )
+    evaluate_accuracy(model, loader)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        evaluate_accuracy(model, loader)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < STAGE1_IM2COL_BYTES
+
+
+def test_analog_conv_forward_never_holds_a_whole_batch_im2col():
+    rng = np.random.default_rng(0)
+    conv = nn.Conv2d(16, 16, 3, padding=1, bias=False, rng=rng)
+    layer = AnalogConv2d.from_conv(
+        conv, CrossbarMapper(), adc=ADCModel(bits=8, full_scale=64.0)
+    )
+    x = rng.normal(size=STAGE1_SHAPE)
+    layer(x[:1])  # warm
+    tracemalloc.start()
+    try:
+        layer(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < STAGE1_IM2COL_BYTES
