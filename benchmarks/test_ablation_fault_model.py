@@ -33,7 +33,7 @@ def test_fault_model_ablation(run_once, bench_scale):
         # Weight-space model (the paper's).
         ws = evaluate_defect_accuracy(
             model, test_loader, weight_rate, num_runs=runs,
-            rng=np.random.default_rng(21),
+            seed=21,
         )
         # Cell-level model via the crossbar simulator.
         device = ReRAMDeviceModel(g_off=1e-6, g_on=1e-4, levels=256)

@@ -7,8 +7,6 @@ which pin weights to +/- w_max, are the destructive component, while
 stuck-off (SA0) faults act like mild pruning.
 """
 
-import numpy as np
-
 from repro.core import evaluate_defect_accuracy
 from repro.experiments.runner import make_loaders, pretrain_model
 from repro.reram import WeightSpaceFaultModel
@@ -33,7 +31,7 @@ def test_fault_ratio_ablation(run_once, bench_scale):
             fault_model = WeightSpaceFaultModel(ratio=ratio)
             defect = evaluate_defect_accuracy(
                 model, test_loader, rate, num_runs=scale.defect_runs,
-                rng=np.random.default_rng(11), fault_model=fault_model,
+                seed=11, fault_model=fault_model,
             )
             results[name] = defect.mean_accuracy
         return acc_pre, results

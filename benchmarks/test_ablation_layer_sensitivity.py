@@ -8,8 +8,6 @@ literature, and the reason column-redundancy baselines target specific
 layers.
 """
 
-import numpy as np
-
 from repro.core import layer_sensitivity
 from repro.experiments.runner import make_loaders, pretrain_model
 from repro.experiments.tables import render_sensitivity
@@ -26,7 +24,7 @@ def test_layer_sensitivity_ablation(run_once, bench_scale):
         )
         results = layer_sensitivity(
             model, test_loader, rate, num_runs=scale.defect_runs,
-            rng=np.random.default_rng(31),
+            seed=31,
         )
         return acc_pre, results
 

@@ -41,7 +41,7 @@ def test_progressive_level_ablation(run_once, bench_scale):
             trainer.fit(train_loader, max(1, epoch_budget // levels))
             defect = evaluate_defect_accuracy(
                 ft, test_loader, target, num_runs=scale.defect_runs,
-                rng=np.random.default_rng(10),
+                seed=10,
             )
             rows.append(
                 (levels, evaluate_accuracy(ft, test_loader),

@@ -60,7 +60,7 @@ def test_ecoc_composition(run_once, bench_scale):
         plain_clean = evaluate_accuracy(softmax_model, test_loader)
         plain_defect = evaluate_defect_accuracy(
             softmax_model, test_loader, RATE, num_runs=runs,
-            rng=np.random.default_rng(42),
+            seed=42,
         ).mean_accuracy
 
         # (b) ECOC-headed model (same backbone, wider output).

@@ -50,14 +50,14 @@ def test_variation_aware_training(run_once, bench_scale):
             for name, m in (("plain", model), ("variation-trained", hardened)):
                 curves[name][sigma] = evaluate_defect_accuracy(
                     m, test_loader, sigma, num_runs=scale.defect_runs,
-                    rng=np.random.default_rng(52),
+                    seed=52,
                     fault_model=ProgrammingVariationModel(),
                 ).mean_accuracy
         drift_model = ConductanceDriftModel(nu=0.05)
         drift = {
             name: evaluate_defect_accuracy(
                 m, test_loader, 1e5, num_runs=3,
-                rng=np.random.default_rng(53), fault_model=drift_model,
+                seed=53, fault_model=drift_model,
             ).mean_accuracy
             for name, m in (("plain", model), ("variation-trained", hardened))
         }

@@ -53,7 +53,7 @@ def main():
           f"{FAILURE_RATE:.1%} stuck-at rate each...")
     plain = simulate_fleet(
         model, test, FAILURE_RATE, num_devices=NUM_DEVICES,
-        rng=np.random.default_rng(1),
+        seed=1,
     )
 
     print("hardening with progressive fault-tolerant training...")
@@ -67,7 +67,7 @@ def main():
     ).fit(train, 5)
     hardened = simulate_fleet(
         ft, test, FAILURE_RATE, num_devices=NUM_DEVICES,
-        rng=np.random.default_rng(1),
+        seed=1,
     )
 
     print()

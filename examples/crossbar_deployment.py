@@ -78,7 +78,7 @@ def main():
     # Weight-space model at the equivalent rate (2 cells per weight).
     ws = evaluate_defect_accuracy(
         model, test, 2 * CELL_RATE, num_runs=8,
-        rng=np.random.default_rng(2),
+        seed=2,
     )
     print(f"weight-space model at rate {2 * CELL_RATE:g}: "
           f"{ws.mean_accuracy:.2f}%")

@@ -68,7 +68,7 @@ def main():
     rows = {}
     for name, m in (("plain", model), ("hardened (FT)", hardened)):
         fleet = simulate_fleet(m, test, DEVICE_RATE, num_devices=FLEET,
-                               rng=np.random.default_rng(2))
+                               seed=2)
         mean, low, high = mean_confidence_interval(fleet.accuracies)
         print(f"{name:<16} mean {mean:6.2f}%  (95% CI {low:6.2f}-{high:6.2f})"
               f"  worst {fleet.worst:6.2f}%  "

@@ -37,7 +37,7 @@ def report(stage, model, test, acc_pretrain, rng_seed):
     clean = evaluate_accuracy(model, test)
     defect = evaluate_defect_accuracy(
         model, test, TEST_RATE, num_runs=10,
-        rng=np.random.default_rng(rng_seed),
+        seed=rng_seed,
     )
     ss = stability_score(acc_pretrain, clean, defect.mean_accuracy)
     print(f"{stage:<34} clean {clean:6.2f}%   "

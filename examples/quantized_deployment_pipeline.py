@@ -57,7 +57,7 @@ def main():
     quantize_model_weights(naive, LEVELS)
     naive_defect = evaluate_defect_accuracy(
         naive, test, FAULT_RATE, num_runs=10,
-        rng=np.random.default_rng(1),
+        seed=1,
         fault_model=QuantizedFaultModel(levels=LEVELS),
     )
     print(f"2. naive 4-bit deploy @ {FAULT_RATE:.0%} faults:   "
@@ -77,7 +77,7 @@ def main():
     ).fit(train, 10)
     hard_defect = evaluate_defect_accuracy(
         hard, test, FAULT_RATE, num_runs=10,
-        rng=np.random.default_rng(1),
+        seed=1,
         fault_model=QuantizedFaultModel(levels=LEVELS),
     )
     print(f"3. QAT + FT deploy @ {FAULT_RATE:.0%} faults:      "
@@ -85,13 +85,13 @@ def main():
 
     # Soft non-idealities on the hardened model.
     variation = evaluate_defect_accuracy(
-        hard, test, 0.1, num_runs=10, rng=np.random.default_rng(4),
+        hard, test, 0.1, num_runs=10, seed=4,
         fault_model=ProgrammingVariationModel(),
     )
     print(f"4. + programming variation (s=0.1):   "
           f"{variation.mean_accuracy:6.2f}%")
     drift = evaluate_defect_accuracy(
-        hard, test, 1e6, num_runs=5, rng=np.random.default_rng(5),
+        hard, test, 1e6, num_runs=5, seed=5,
         fault_model=ConductanceDriftModel(nu=0.02),
     )
     print(f"5. + retention drift (t=1e6 s):       "

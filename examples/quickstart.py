@@ -42,7 +42,7 @@ def main():
     # 3. Deploy it on an unreliable ReRAM device: 5% of weights stuck.
     p_sa = 0.05
     defect = evaluate_defect_accuracy(
-        model, test, p_sa, num_runs=10, rng=np.random.default_rng(1)
+        model, test, p_sa, num_runs=10, seed=1
     )
     print(f"same model under {p_sa:.0%} stuck-at faults:   "
           f"{defect.mean_accuracy:6.2f}%   <- the ReRAM stability problem")
@@ -58,7 +58,7 @@ def main():
 
     acc_retrain = evaluate_accuracy(ft_model, test)
     ft_defect = evaluate_defect_accuracy(
-        ft_model, test, p_sa, num_runs=10, rng=np.random.default_rng(1)
+        ft_model, test, p_sa, num_runs=10, seed=1
     )
     print(f"fault-tolerant model, no faults:        {acc_retrain:6.2f}%")
     print(f"fault-tolerant model under faults:      "

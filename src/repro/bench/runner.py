@@ -44,8 +44,9 @@ class RunnerConfig:
     max_repeats:
         Hard ceiling on measured repeats (bounds total runtime).
     min_time:
-        Keep repeating (up to ``max_repeats``) until this many seconds
-        of measured time have accumulated.
+        Keep repeating (up to ``max_repeats``) until the samples kept
+        after outlier rejection add up to this many seconds — the
+        ``total`` the case's stats report.
     outlier_threshold:
         One-sided MAD fence for rejecting slow stragglers; see
         :func:`repro.bench.stats.reject_outliers`.
@@ -136,16 +137,24 @@ def run_case(
 
             sampler = StackSampler().start()
         samples: List[float] = []
-        total = 0.0
-        while len(samples) < config.max_repeats and (
-            len(samples) < config.min_repeats or total < config.min_time
-        ):
+        measured = 0.0
+        check_at = config.min_time
+        while len(samples) < config.max_repeats:
             watch = Stopwatch().start()
             case.func(state)
             seconds = watch.stop()
             samples.append(seconds)
             histogram.observe(seconds)
-            total += seconds
+            measured += seconds
+            if len(samples) < config.min_repeats or measured < check_at:
+                continue
+            # Stop on the total that stats report, of the kept samples;
+            # re-check once the raw total could cover the shortfall.
+            kept, _ = reject_outliers(samples, config.outlier_threshold)
+            shortfall = config.min_time - sum(kept)
+            if shortfall <= 0:
+                break
+            check_at = measured + shortfall
     finally:
         if sampler is not None:
             aggregate = sampler.stop()

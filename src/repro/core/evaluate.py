@@ -5,11 +5,11 @@
 target rate, evaluate each faulted model on the test set, and average —
 the defect accuracy ``Acc_defect`` of Section III.
 
-Provenance: when a ``seed`` is supplied (instead of a live ``rng``) every
-draw uses its own generator seeded ``seed + draw_index``, the per-draw
-seeds are emitted on the telemetry event stream, and the base seed is
-recorded on the returned :class:`DefectEvaluation` — so any individual
-fault pattern behind a reported ``Acc_defect`` can be re-materialised.
+Provenance: every draw uses its own generator seeded ``seed +
+draw_index``, the per-draw seeds are emitted on the telemetry event
+stream, and the base seed is recorded on the returned
+:class:`DefectEvaluation` — so any individual fault pattern behind a
+reported ``Acc_defect`` can be re-materialised.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..reram.deploy import crossbar_parameters
 from ..reram.faults import WeightSpaceFaultModel
 from ..seeding import draw_streams, resolve_base_seed
 from ..telemetry import current as _telemetry
-from ..telemetry.progress import ProgressTracker
 from .injector import FaultInjector
 
 __all__ = [
@@ -83,18 +82,17 @@ def evaluate_one_draw(
     model: nn.Module,
     loader: DataLoader,
     fault_cfg: FaultDrawSpec,
-    seed_stream: Union[int, np.random.SeedSequence, np.random.Generator],
+    seed_stream: Union[int, np.random.SeedSequence],
 ) -> float:
     """One fault draw: inject, evaluate, restore.  The pure per-draw unit.
 
-    This is the function both the serial loops and ``repro.parallel``
-    workers execute: accuracy is a deterministic function of the model
-    weights, the loader, ``fault_cfg`` and ``seed_stream`` alone.
-    ``seed_stream`` is anything ``np.random.default_rng`` accepts — an
-    int or :class:`~numpy.random.SeedSequence` for an independent
-    per-draw stream (the parallel contract), or a live ``Generator``,
-    which is used *in place* and advanced (the legacy shared-stream
-    protocol).  The model is restored before returning.
+    Defect evaluation and fleet simulation run it for every draw, in
+    process or in a ``repro.parallel`` worker: accuracy is a
+    deterministic function of the model weights, the loader,
+    ``fault_cfg`` and ``seed_stream`` alone.  ``seed_stream`` is the
+    draw's own stream, an int or :class:`~numpy.random.SeedSequence` (see
+    :func:`repro.seeding.draw_streams`).  The model is restored before
+    returning.
     """
     rng = np.random.default_rng(seed_stream)
     injector = FaultInjector(model, fault_model=fault_cfg.fault_model, rng=rng)
@@ -129,62 +127,42 @@ def emit_model_cost(model: nn.Module, loader: DataLoader) -> None:
     telemetry.emit("model_cost", model=type(model).__name__, **cost.as_dict())
 
 
-def _defect_draw_task(task: tuple, context: Dict[str, Any]) -> float:
-    """Per-draw task body shared by the serial and pool paths.
+def _defect_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
+    """One draw of a defect evaluation, in process or in a pool worker.
 
-    ``task`` is ``(draw_index, draw_seed, seed_stream)``; ``draw_seed``
-    is the scalar provenance value emitted on the ``defect_draw`` event
-    (``None`` on the legacy shared-``rng`` path, where the stream *is*
-    the shared generator).
-    """
-    draw, draw_seed, seed_stream = task
-    accuracy = evaluate_one_draw(
-        context["model"], context["loader"], context["cfg"], seed_stream
-    )
-    telemetry = _telemetry()
-    telemetry.metrics.counter("eval/fault_draws_total").inc()
-    telemetry.metrics.histogram("eval/defect_accuracy").observe(accuracy)
-    telemetry.emit(
-        "defect_draw",
-        p_sa=context["cfg"].p_sa,
-        draw=draw,
-        seed=draw_seed,
-        accuracy=accuracy,
-    )
-    return accuracy
-
-
-def _forensic_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
-    """Forensic twin of :func:`_defect_draw_task`.
-
-    Draws the fault pattern through the *same* injector call (identical
-    RNG consumption and ``fault_inject`` event), then replays the draw
-    through a :class:`~repro.forensics.DeviationProbe` instead of a plain
-    evaluation.  Returns ``(accuracy, payload)`` — the accuracy is
-    bit-identical to what :func:`_defect_draw_task` would have returned.
+    ``task`` is ``(draw_index, draw_seed, seed_stream)``; ``draw_seed`` is
+    the scalar provenance value emitted on the ``defect_draw`` event.
+    Returns ``(accuracy, payload)``.  Without forensics ``payload`` is
+    ``None``.  With forensics the draw's fault pattern comes from the
+    same injector call (the same RNG use and ``fault_inject`` event) and
+    is replayed through a :class:`~repro.forensics.DeviationProbe`,
+    whose accuracy is bit-identical to the plain evaluation's.
     """
     draw, draw_seed, seed_stream = task
     model = context["model"]
     cfg = context["cfg"]
-    rng = np.random.default_rng(seed_stream)
-    injector = FaultInjector(model, fault_model=cfg.fault_model, rng=rng)
-    injector.inject(cfg.p_sa)
-    try:
-        faulted = {
-            name: param.data.copy()
-            for name, param in crossbar_parameters(model)
-        }
-    finally:
-        injector.restore()
-    probe = DeviationProbe(model, context["forensics"])
-    accuracy, payload = probe.compare(context["loader"], faulted)
+    forensics = context["forensics"]
+    payload = None
+    if forensics is None:
+        accuracy = evaluate_one_draw(
+            model, context["loader"], cfg, seed_stream
+        )
+    else:
+        rng = np.random.default_rng(seed_stream)
+        injector = FaultInjector(model, fault_model=cfg.fault_model, rng=rng)
+        injector.inject(cfg.p_sa)
+        try:
+            faulted = {
+                name: param.data.copy()
+                for name, param in crossbar_parameters(model)
+            }
+        finally:
+            injector.restore()
+        probe = DeviationProbe(model, forensics)
+        accuracy, payload = probe.compare(context["loader"], faulted)
     telemetry = _telemetry()
     telemetry.metrics.counter("eval/fault_draws_total").inc()
     telemetry.metrics.histogram("eval/defect_accuracy").observe(accuracy)
-    telemetry.metrics.counter("forensics/draws_total").inc()
-    telemetry.metrics.counter("forensics/prediction_flips_total").inc(
-        int(payload["num_flipped"])
-    )
     telemetry.emit(
         "defect_draw",
         p_sa=cfg.p_sa,
@@ -192,9 +170,15 @@ def _forensic_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
         seed=draw_seed,
         accuracy=accuracy,
     )
-    telemetry.emit(
-        "forensics_draw", p_sa=cfg.p_sa, draw=draw, seed=draw_seed, **payload
-    )
+    if payload is not None:
+        telemetry.metrics.counter("forensics/draws_total").inc()
+        telemetry.metrics.counter("forensics/prediction_flips_total").inc(
+            int(payload["num_flipped"])
+        )
+        telemetry.emit(
+            "forensics_draw", p_sa=cfg.p_sa, draw=draw, seed=draw_seed,
+            **payload,
+        )
     return accuracy, payload
 
 
@@ -213,10 +197,10 @@ class DefectEvaluation:
     run_accuracies:
         The per-draw accuracies.
     seed:
-        Base seed of the evaluation when it was seed-driven (draw ``i``
-        used generator ``default_rng(seed + i)``); ``None`` when a live
-        ``rng`` was supplied and the per-draw patterns are not
-        reconstructable from the result alone.
+        Base seed of the evaluation: draw ``i`` used generator
+        ``default_rng(seed + i)``, so every per-draw pattern can be
+        rebuilt from the result.  ``None`` only for a ``p_sa=0``
+        evaluation given no seed, which draws no faults.
     forensics:
         Aggregated per-layer deviation statistics (see
         :func:`repro.forensics.aggregate_payloads`) when the evaluation
@@ -251,7 +235,6 @@ def evaluate_defect_accuracy(
     loader: DataLoader,
     p_sa: float,
     num_runs: int = 100,
-    rng: Optional[np.random.Generator] = None,
     fault_model: Optional[WeightSpaceFaultModel] = None,
     seed: Optional[int] = None,
     workers: Optional[int] = None,
@@ -265,18 +248,15 @@ def evaluate_defect_accuracy(
     restored after every draw; the function leaves the model exactly as
     it found it.
 
-    Pass either a live ``rng`` (one stream shared across draws, the
-    legacy protocol) or a ``seed``: draw ``i`` then uses its own stream
-    ``SeedSequence(seed + i)``, with full provenance.  With neither, a
-    base seed is drawn from the process-wide policy stream and recorded
-    on the result, so every evaluation is re-materialisable.
+    Draw ``i`` uses its own stream ``SeedSequence(seed + i)``, with full
+    provenance.  Without a ``seed``, a base seed is drawn from the
+    process-wide policy stream and recorded on the result, so every
+    evaluation is re-materialisable.
 
-    ``workers`` distributes the draws over a ``repro.parallel`` process
-    pool (``None`` defers to ``REPRO_WORKERS``; 0/1 run serial).  Results
-    are bit-identical at any worker count and chunk size.  The shared
-    ``rng`` protocol is order-dependent by construction, so it always
-    runs serial — asking for workers with an ``rng`` records a telemetry
-    fallback rather than silently changing the stream discipline.
+    The draws run through :meth:`repro.parallel.ParallelMap.map`:
+    ``workers`` sizes its process pool (``None`` defers to
+    ``REPRO_WORKERS``; 0/1 run in process).  Results are bit-identical at
+    any worker count and chunk size.
 
     ``forensics`` enables fault forensics: each draw is replayed through
     a :class:`~repro.forensics.DeviationProbe` (clean vs faulted forwards
@@ -289,8 +269,6 @@ def evaluate_defect_accuracy(
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
-    if rng is not None and seed is not None:
-        raise ValueError("pass either rng or seed, not both")
     telemetry = _telemetry()
     cells = None
     if telemetry.enabled:
@@ -310,61 +288,29 @@ def evaluate_defect_accuracy(
         )
         return DefectEvaluation(0.0, clean, 0.0, [clean], seed=seed)
     cfg = FaultDrawSpec(p_sa=p_sa, fault_model=fault_model)
-    pmap = ParallelMap(workers)
-    if rng is not None:
-        base_seed = None
-        tasks = [(draw, None, rng) for draw in range(num_runs)]
-        if pmap.workers > 1:
-            telemetry.metrics.counter("parallel/fallbacks_total").inc()
-            telemetry.emit(
-                "parallel_fallback",
-                reason="shared rng stream is order-dependent",
-                workers=pmap.workers,
-            )
-    else:
-        base_seed = resolve_base_seed(seed)
-        streams = draw_streams(base_seed, num_runs)
-        tasks = [
-            (draw, base_seed + draw, streams[draw]) for draw in range(num_runs)
-        ]
-    task_fn = _forensic_draw_task if forensics is not None else _defect_draw_task
-    if rng is None and pmap.workers > 1:
-        results = pmap.map(
-            task_fn,
-            tasks,
-            Broadcast(
-                model=ModelBroadcast(model),
-                loader=loader,
-                cfg=cfg,
-                forensics=forensics,
-            ),
-        )
-    else:
-        context = {
-            "model": model,
-            "loader": loader,
-            "cfg": cfg,
-            "forensics": forensics,
-        }
-        tracker = ProgressTracker(
-            total=len(tasks), label=f"defect_eval p_sa={p_sa:g}"
-        )
-        results = []
-        for task in tasks:
-            results.append(task_fn(task, context))
-            tracker.update()
-        tracker.finish()
+    base_seed = resolve_base_seed(seed)
+    streams = draw_streams(base_seed, num_runs)
+    tasks = [(i, base_seed + i, streams[i]) for i in range(num_runs)]
+    # Results come back in task (draw) order at any worker count, so the
+    # mean and the forensic fold are bit-identical however the draws ran.
+    results = ParallelMap(workers).map(
+        _defect_draw_task,
+        tasks,
+        Broadcast(
+            model=ModelBroadcast(model),
+            loader=loader,
+            cfg=cfg,
+            forensics=forensics,
+        ),
+        label=f"defect_eval p_sa={p_sa:g}",
+    )
+    accuracies = [accuracy for accuracy, _ in results]
     aggregate = None
     if forensics is not None:
-        accuracies = [accuracy for accuracy, _ in results]
-        # Fold in draw (task) order — ParallelMap returns results in task
-        # order, so the aggregate is bit-identical at any worker count.
         aggregate = aggregate_payloads([payload for _, payload in results])
         aggregate["p_sa"] = p_sa
         aggregate["target"] = None
         telemetry.emit("forensics_eval", seed=base_seed, **aggregate)
-    else:
-        accuracies = results
     evaluation = DefectEvaluation(
         p_sa,
         float(np.mean(accuracies)),

@@ -32,9 +32,9 @@ __all__ = ["FleetReport", "simulate_fleet"]
 class FleetReport:
     """Accuracy distribution of one model across a device fleet.
 
-    ``seed`` is the evaluation's base seed when it was seed-driven
-    (device ``i`` used the stream behind ``seed + i``); ``None`` when a
-    live ``rng`` drove the draws.
+    ``seed`` is the evaluation's base seed: device ``i`` used the stream
+    behind ``seed + i``.  It is ``None`` only for a ``p_sa=0`` fleet
+    given no seed, which draws no faults.
     """
 
     p_sa: float
@@ -108,7 +108,6 @@ def simulate_fleet(
     loader: DataLoader,
     p_sa: float,
     num_devices: int = 50,
-    rng: Optional[np.random.Generator] = None,
     fault_model: Optional[WeightSpaceFaultModel] = None,
     seed: Optional[int] = None,
     workers: Optional[int] = None,
@@ -120,53 +119,26 @@ def simulate_fleet(
     :func:`~repro.core.evaluate.evaluate_defect_accuracy` but reported as
     a distribution rather than a mean.
 
-    Seeding and parallelism follow the defect-evaluation contract: pass
-    a live ``rng`` (one shared stream, always serial) or a ``seed``
-    (device ``i`` gets the independent stream behind ``seed + i``); with
-    neither, a base seed is drawn from the process-wide policy stream and
-    recorded on the report.  ``workers`` distributes seed-driven devices
-    over a ``repro.parallel`` pool with bit-identical results at any
-    worker count.
+    Seeding and parallelism follow the defect-evaluation contract: device
+    ``i`` gets the independent stream behind ``seed + i``; without a
+    ``seed``, a base seed is drawn from the process-wide policy stream and
+    recorded on the report.  The devices run through
+    :meth:`repro.parallel.ParallelMap.map` on ``workers`` processes, with
+    bit-identical results at any worker count.
     """
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
-    if rng is not None and seed is not None:
-        raise ValueError("pass either rng or seed, not both")
-    telemetry = _telemetry()
-    report = FleetReport(p_sa=p_sa, seed=None if rng is not None else seed)
     if p_sa == 0.0:
         clean = evaluate_accuracy(model, loader)
-        report.accuracies = [clean] * num_devices
-        return report
+        return FleetReport(p_sa, [clean] * num_devices, seed=seed)
     cfg = FaultDrawSpec(p_sa=p_sa, fault_model=fault_model)
-    pmap = ParallelMap(workers)
-    if rng is not None:
-        tasks = [(device, None, rng) for device in range(num_devices)]
-        if pmap.workers > 1:
-            telemetry.metrics.counter("parallel/fallbacks_total").inc()
-            telemetry.emit(
-                "parallel_fallback",
-                reason="shared rng stream is order-dependent",
-                workers=pmap.workers,
-            )
-    else:
-        base_seed = resolve_base_seed(seed)
-        report.seed = base_seed
-        streams = draw_streams(base_seed, num_devices)
-        tasks = [
-            (device, base_seed + device, streams[device])
-            for device in range(num_devices)
-        ]
-    with telemetry.span("fleet_simulation"):
-        if rng is None and pmap.workers > 1:
-            report.accuracies = pmap.map(
-                _fleet_device_task,
-                tasks,
-                Broadcast(model=ModelBroadcast(model), loader=loader, cfg=cfg),
-            )
-        else:
-            context = {"model": model, "loader": loader, "cfg": cfg}
-            report.accuracies = [
-                _fleet_device_task(task, context) for task in tasks
-            ]
-    return report
+    base_seed = resolve_base_seed(seed)
+    streams = draw_streams(base_seed, num_devices)
+    tasks = [(i, base_seed + i, streams[i]) for i in range(num_devices)]
+    with _telemetry().span("fleet_simulation"):
+        accuracies = ParallelMap(workers).map(
+            _fleet_device_task,
+            tasks,
+            Broadcast(model=ModelBroadcast(model), loader=loader, cfg=cfg),
+        )
+    return FleetReport(p_sa, accuracies, seed=base_seed)

@@ -10,7 +10,7 @@ the paper discusses) on the first conv or on the classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -45,75 +45,41 @@ class LayerSensitivity:
     num_runs: int = 0
 
 
-def _faulted_layer_accuracy(
-    model: nn.Module,
-    loader: DataLoader,
-    param: nn.Parameter,
-    pristine: np.ndarray,
-    fault_model: WeightSpaceFaultModel,
-    p_sa: float,
-    rng: np.random.Generator,
-) -> float:
-    """Accuracy with faults in one tensor only; the tensor is restored.
+def _layer_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
+    """One (layer, run) cell of the sweep: fault one tensor, evaluate.
 
-    The single place the sweep mutates model weights — shared by the
-    legacy shared-``rng`` loop and the seed-driven (serial or parallel)
-    path, so both measure exactly the same thing.
-    """
-    param.data[...] = fault_model.apply(pristine, p_sa, rng)
-    try:
-        return evaluate_accuracy(model, loader)
-    finally:
-        param.data[...] = pristine
-
-
-def _layer_draw_task(task: tuple, context: Dict[str, Any]) -> float:
-    """One (layer, run) cell of the sensitivity sweep."""
-    name, seed_stream = task
-    model = context["model"]
-    param = dict(crossbar_parameters(model))[name]
-    return _faulted_layer_accuracy(
-        model,
-        context["loader"],
-        param,
-        param.data.copy(),
-        context["fault_model"],
-        context["p_sa"],
-        np.random.default_rng(seed_stream),
-    )
-
-
-def _forensic_layer_task(task: tuple, context: Dict[str, Any]) -> tuple:
-    """Forensic twin of :func:`_layer_draw_task`.
-
-    Materialises the single-tensor fault draw with the same
-    ``fault_model.apply`` RNG consumption, then replays it through a
-    :class:`~repro.forensics.DeviationProbe`: the returned accuracy is
-    bit-identical to the plain cell, and the payload traces how the one
-    faulted tensor's error propagates through the *other* layers.
+    ``task`` is ``(name, draw, seed_stream)``.  Returns ``(accuracy,
+    payload)``; the tensor is restored.  Without forensics ``payload`` is
+    ``None``.  With forensics the same ``fault_model.apply`` draw is
+    replayed through a :class:`~repro.forensics.DeviationProbe`: the
+    accuracy is bit-identical to the plain cell's, and the payload traces
+    how the one faulted tensor's error propagates through the *other*
+    layers.
     """
     name, draw, seed_stream = task
     model = context["model"]
+    loader = context["loader"]
+    fault_model = context["fault_model"]
+    p_sa = context["p_sa"]
     param = dict(crossbar_parameters(model))[name]
+    pristine = param.data.copy()
     rng = np.random.default_rng(seed_stream)
-    faulted = {
-        name: context["fault_model"].apply(
-            param.data.copy(), context["p_sa"], rng
-        )
-    }
+    if context["forensics"] is None:
+        param.data[...] = fault_model.apply(pristine, p_sa, rng)
+        try:
+            return evaluate_accuracy(model, loader), None
+        finally:
+            param.data[...] = pristine
+    faulted = {name: fault_model.apply(pristine, p_sa, rng)}
     probe = DeviationProbe(model, context["forensics"])
-    accuracy, payload = probe.compare(context["loader"], faulted)
+    accuracy, payload = probe.compare(loader, faulted)
     telemetry = _telemetry()
     telemetry.metrics.counter("forensics/draws_total").inc()
     telemetry.metrics.counter("forensics/prediction_flips_total").inc(
         int(payload["num_flipped"])
     )
     telemetry.emit(
-        "forensics_draw",
-        p_sa=context["p_sa"],
-        target=name,
-        draw=draw,
-        **payload,
+        "forensics_draw", p_sa=p_sa, target=name, draw=draw, **payload
     )
     return accuracy, payload
 
@@ -123,7 +89,6 @@ def layer_sensitivity(
     loader: DataLoader,
     p_sa: float,
     num_runs: int = 10,
-    rng: Optional[np.random.Generator] = None,
     fault_model: Optional[WeightSpaceFaultModel] = None,
     seed: Optional[int] = None,
     workers: Optional[int] = None,
@@ -134,13 +99,12 @@ def layer_sensitivity(
     Returns one :class:`LayerSensitivity` per tensor, sorted most
     sensitive first.  The model is left untouched.
 
-    Seeding follows the library's Monte Carlo contract: a live ``rng``
-    shares one stream across every (layer, run) cell in sweep order and
-    always runs serial; a ``seed`` gives cell ``(i, j)`` the independent
-    stream behind ``seed + i*num_runs + j``, which ``workers`` can then
-    evaluate on a ``repro.parallel`` pool with bit-identical results at
-    any worker count.  With neither, a base seed is drawn from the
-    process-wide policy stream.
+    Seeding follows the library's Monte Carlo contract: cell ``(i, j)``
+    (layer ``i``, run ``j``) gets the independent stream behind
+    ``seed + i*num_runs + j``; without a ``seed``, a base seed is drawn
+    from the process-wide policy stream.  The cells run through
+    :meth:`repro.parallel.ParallelMap.map` on ``workers`` processes, with
+    bit-identical results at any worker count.
 
     ``forensics`` replays every (layer, run) cell through a
     :class:`~repro.forensics.DeviationProbe`: one ``forensics_draw``
@@ -151,93 +115,31 @@ def layer_sensitivity(
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
-    if rng is not None and seed is not None:
-        raise ValueError("pass either rng or seed, not both")
     fault_model = fault_model or WeightSpaceFaultModel()
     targets = crossbar_parameters(model)
     clean = evaluate_accuracy(model, loader)
-    pmap = ParallelMap(workers)
-    payloads: Optional[List[dict]] = None
-    if rng is not None:
-        if pmap.workers > 1:
-            telemetry = _telemetry()
-            telemetry.metrics.counter("parallel/fallbacks_total").inc()
-            telemetry.emit(
-                "parallel_fallback",
-                reason="shared rng stream is order-dependent",
-                workers=pmap.workers,
-            )
-        accuracies: List[float] = []
-        if forensics is not None:
-            payloads = []
-            context = {
-                "model": model,
-                "loader": loader,
-                "fault_model": fault_model,
-                "p_sa": p_sa,
-                "forensics": forensics,
-            }
-            for name, _ in targets:
-                for j in range(num_runs):
-                    accuracy, payload = _forensic_layer_task(
-                        (name, j, rng), context
-                    )
-                    accuracies.append(accuracy)
-                    payloads.append(payload)
-        else:
-            for name, param in targets:
-                pristine = param.data.copy()
-                for _ in range(num_runs):
-                    accuracies.append(
-                        _faulted_layer_accuracy(
-                            model, loader, param, pristine, fault_model,
-                            p_sa, rng,
-                        )
-                    )
-    else:
-        base_seed = resolve_base_seed(seed)
-        streams = draw_streams(base_seed, len(targets) * num_runs)
-        context = {
-            "model": model,
-            "loader": loader,
-            "fault_model": fault_model,
-            "p_sa": p_sa,
-            "forensics": forensics,
-        }
-        broadcast = Broadcast(
+    base_seed = resolve_base_seed(seed)
+    streams = draw_streams(base_seed, len(targets) * num_runs)
+    tasks = [
+        (name, j, streams[i * num_runs + j])
+        for i, (name, _) in enumerate(targets)
+        for j in range(num_runs)
+    ]
+    cells = ParallelMap(workers).map(
+        _layer_draw_task,
+        tasks,
+        Broadcast(
             model=ModelBroadcast(model),
             loader=loader,
             fault_model=fault_model,
             p_sa=p_sa,
             forensics=forensics,
-        )
-        if forensics is not None:
-            tasks = [
-                (name, j, streams[i * num_runs + j])
-                for i, (name, _) in enumerate(targets)
-                for j in range(num_runs)
-            ]
-            if pmap.workers > 1:
-                cells = pmap.map(_forensic_layer_task, tasks, broadcast)
-            else:
-                cells = [_forensic_layer_task(task, context) for task in tasks]
-            accuracies = [accuracy for accuracy, _ in cells]
-            payloads = [payload for _, payload in cells]
-        else:
-            tasks = [
-                (name, streams[i * num_runs + j])
-                for i, (name, _) in enumerate(targets)
-                for j in range(num_runs)
-            ]
-            if pmap.workers > 1:
-                accuracies = pmap.map(_layer_draw_task, tasks, broadcast)
-            else:
-                accuracies = [
-                    _layer_draw_task(task, context) for task in tasks
-                ]
+        ),
+    )
     results: List[LayerSensitivity] = []
     for i, (name, param) in enumerate(targets):
-        cell_accuracies = accuracies[i * num_runs : (i + 1) * num_runs]
+        layer_cells = cells[i * num_runs : (i + 1) * num_runs]
+        cell_accuracies = [accuracy for accuracy, _ in layer_cells]
         mean_acc = float(np.mean(cell_accuracies))
         results.append(
             LayerSensitivity(
@@ -249,11 +151,11 @@ def layer_sensitivity(
                 num_runs=num_runs,
             )
         )
-        if payloads is not None:
+        if forensics is not None:
             # Per-target fold in draw order: bit-identical at any worker
             # count, matching the defect-eval aggregation contract.
             aggregate = aggregate_payloads(
-                payloads[i * num_runs : (i + 1) * num_runs]
+                [payload for _, payload in layer_cells]
             )
             aggregate["p_sa"] = p_sa
             aggregate["target"] = name

@@ -110,7 +110,7 @@ def paired_comparison(
     """Paired-t comparison of per-draw accuracies under common seeds.
 
     Both sequences must come from evaluations with the *same* fault
-    seeds (pass the same seeded generator state to
+    seeds (pass the same ``seed`` to
     :func:`repro.core.evaluate_defect_accuracy` for each model), pairing
     draw ``i`` of model A with draw ``i`` of model B.
     """

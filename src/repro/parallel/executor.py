@@ -145,9 +145,16 @@ class ParallelMap:
         fn: Callable[[Any, Dict[str, Any]], Any],
         tasks: Sequence[Any],
         broadcast: Optional[Broadcast],
+        label: str,
     ) -> List[Any]:
         context = broadcast.materialize() if broadcast is not None else {}
-        return [fn(task, context) for task in tasks]
+        tracker = ProgressTracker(total=len(tasks), label=label)
+        results = []
+        for task in tasks:
+            results.append(fn(task, context))
+            tracker.update()
+        tracker.finish()
+        return results
 
     # -- pool plumbing ------------------------------------------------------
     def _make_pool(
@@ -255,12 +262,12 @@ class ParallelMap:
             reason,
         )
 
-    def _fallback(self, fn, tasks, broadcast, reason: str) -> List[Any]:
+    def _fallback(self, fn, tasks, broadcast, label, reason: str) -> List[Any]:
         run = telemetry.current()
         run.metrics.counter("parallel/fallbacks_total").inc()
         run.emit("parallel_fallback", reason=reason, workers=self.workers)
         logger.warning("parallel execution unavailable (%s); running serial", reason)
-        return self._run_serial(fn, tasks, broadcast)
+        return self._run_serial(fn, tasks, broadcast, label)
 
     # -- public API ---------------------------------------------------------
     def map(
@@ -268,18 +275,21 @@ class ParallelMap:
         fn: Callable[[Any, Dict[str, Any]], Any],
         tasks: Sequence[Any],
         broadcast: Optional[Broadcast] = None,
+        *,
+        label: str = "parallel_map",
     ) -> List[Any]:
         """Apply ``fn(task, context)`` to every task; results in task order.
 
         ``fn`` must be a module-level function (workers import it by
         qualified name) and ``tasks`` must pickle; ``context`` is the
         materialised ``broadcast`` bundle (``{}`` when none is given).
+        ``label`` names the map's progress heartbeats, serial or pooled.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         if self.workers <= 1:
-            return self._run_serial(fn, tasks, broadcast)
+            return self._run_serial(fn, tasks, broadcast, label)
 
         capture = telemetry.current().enabled
         monitor = telemetry.current().monitoring
@@ -287,7 +297,9 @@ class ParallelMap:
         try:
             pool = self._make_pool(broadcast, capture, monitor, profile)
         except Exception as exc:  # pool construction is best-effort
-            return self._fallback(fn, tasks, broadcast, f"pool creation failed: {exc}")
+            return self._fallback(
+                fn, tasks, broadcast, label, f"pool creation failed: {exc}"
+            )
 
         size = self.chunk_size or default_chunk_size(len(tasks), self.workers)
         chunks = [
@@ -313,7 +325,7 @@ class ParallelMap:
         # the event stream at about the moment a hung chunk would be due.
         tracker = ProgressTracker(
             total=len(tasks),
-            label="parallel_map",
+            label=label,
             stall_timeout=(
                 self.timeout * size if self.timeout is not None else None
             ),

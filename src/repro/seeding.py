@@ -2,8 +2,8 @@
 
 The paper's headline numbers are means over 100 *seeded* fault draws
 (P_sa0:P_sa1 = 1.75:9.04), so nothing in this library is allowed to fall
-back to OS entropy.  Every layer, device model and evaluation loop that
-takes an optional ``rng`` resolves its default through this module:
+back to OS entropy.  Every layer and device model that takes an optional
+``rng`` resolves its default through this module:
 
 * When the caller supplies a generator, it is used unchanged — explicit
   seeding always wins.
@@ -13,6 +13,11 @@ takes an optional ``rng`` resolves its default through this module:
   streams (two ``Conv2d`` layers built without an ``rng`` do not share
   weights) but the whole sequence is deterministic: the same construction
   order reproduces the same streams in every process.
+
+The Monte Carlo evaluations take a ``seed``, never a live generator:
+draw ``i`` runs on its own stream from :func:`draw_streams`, rooted at
+:func:`resolve_base_seed`, so results do not depend on draw order or
+worker count and any fault pattern can be rebuilt from its seed.
 
 Tests that need a pristine default stream call :func:`reseed`, which
 rewinds the root sequence (optionally to a different seed).

@@ -41,9 +41,9 @@ def test_checkpointed_ft_model_reproduces_defect_accuracy(tmp_path, rng):
     assert meta["p_sa_target"] == target
 
     original = evaluate_defect_accuracy(
-        model, loader, target, num_runs=4, rng=np.random.default_rng(3)
+        model, loader, target, num_runs=4, seed=3
     )
     reloaded = evaluate_defect_accuracy(
-        fresh, loader, target, num_runs=4, rng=np.random.default_rng(3)
+        fresh, loader, target, num_runs=4, seed=3
     )
     assert original.run_accuracies == reloaded.run_accuracies

@@ -1,8 +1,9 @@
 """Smoke tests for the example scripts.
 
-Each example is a full scenario (training included), so these take
-minutes; they are gated behind ``REPRO_RUN_EXAMPLE_TESTS=1`` and run in
-CI's nightly lane rather than on every push.  The cheap checks (scripts
+Each example is a full scenario (training included); all seven run in
+well under a minute on a 2-vCPU host.  Running them is gated behind
+``REPRO_RUN_EXAMPLE_TESTS=1``, which CI's ``test`` job sets in a step of
+its own, so the default suite stays quick.  The cheap checks (scripts
 compile, expose ``main``) always run.
 """
 

@@ -60,7 +60,7 @@ def test_baseline_collapses_under_faults(pretrained, task):
     _, test = task
     clean = evaluate_accuracy(pretrained, test)
     defect = evaluate_defect_accuracy(
-        pretrained, test, 0.1, num_runs=6, rng=np.random.default_rng(1)
+        pretrained, test, 0.1, num_runs=6, seed=1
     )
     assert defect.mean_accuracy < clean - 15.0
 
@@ -77,10 +77,10 @@ def test_fault_tolerant_training_improves_defect_accuracy(pretrained, task):
     ).fit(train, 10)
 
     base_defect = evaluate_defect_accuracy(
-        pretrained, test, 0.1, num_runs=6, rng=np.random.default_rng(3)
+        pretrained, test, 0.1, num_runs=6, seed=3
     )
     ft_defect = evaluate_defect_accuracy(
-        ft, test, 0.1, num_runs=6, rng=np.random.default_rng(3)
+        ft, test, 0.1, num_runs=6, seed=3
     )
     assert ft_defect.mean_accuracy > base_defect.mean_accuracy + 5.0
 
@@ -124,10 +124,10 @@ def test_pruned_model_is_more_fragile(pretrained, task):
 
     rate = 0.05
     dense_defect = evaluate_defect_accuracy(
-        pretrained, test, rate, num_runs=8, rng=np.random.default_rng(5)
+        pretrained, test, rate, num_runs=8, seed=5
     )
     pruned_defect = evaluate_defect_accuracy(
-        pruned, test, rate, num_runs=8, rng=np.random.default_rng(5)
+        pruned, test, rate, num_runs=8, seed=5
     )
     # Compare *relative* drops so different clean accuracies don't confound.
     dense_clean = evaluate_accuracy(pretrained, test)
@@ -141,7 +141,7 @@ def test_defect_evaluation_never_corrupts_model(pretrained, task):
     _, test = task
     before = {n: p.data.copy() for n, p in pretrained.named_parameters()}
     evaluate_defect_accuracy(
-        pretrained, test, 0.2, num_runs=3, rng=np.random.default_rng(6)
+        pretrained, test, 0.2, num_runs=3, seed=6
     )
     for n, p in pretrained.named_parameters():
         np.testing.assert_array_equal(p.data, before[n])

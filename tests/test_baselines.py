@@ -119,7 +119,7 @@ def test_retrainer_does_not_transfer_to_other_devices(trained, rng):
     # On fresh random devices the adapted model behaves like any
     # unprotected model: large degradation remains possible.
     fresh = evaluate_defect_accuracy(
-        adapted, loader, 0.15, num_runs=8, rng=np.random.default_rng(3)
+        adapted, loader, 0.15, num_runs=8, seed=3
     )
     clean = evaluate_accuracy(adapted, loader)
     assert fresh.mean_accuracy < clean  # no free generalisation

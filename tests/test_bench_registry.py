@@ -148,6 +148,29 @@ def test_run_case_honours_min_time():
     assert result.stats["total"] >= 0.02 or result.repeats == 10_000
 
 
+def test_run_case_min_time_counts_only_kept_samples(monkeypatch):
+    # A scripted clock: one straggler among steady ~1 ms samples.  Its
+    # 50 ms alone reach min_time, but outlier rejection drops it, so the
+    # run must go on until the kept samples reach min_time.
+    durations = iter([0.0010, 0.0011, 0.0012, 0.05] + [0.0010, 0.0011] * 50)
+
+    class ScriptedStopwatch:
+        def start(self):
+            return self
+
+        def stop(self):
+            return next(durations)
+
+    monkeypatch.setattr("repro.bench.runner.Stopwatch", ScriptedStopwatch)
+    registry = _make_registry()
+    config = RunnerConfig(
+        warmup=0, min_repeats=1, max_repeats=10_000, min_time=0.02
+    )
+    result = run_case(registry.get("toy/add"), "fast", config)
+    assert result.rejected == 1
+    assert result.stats["total"] >= 0.02 or result.repeats == 10_000
+
+
 def test_run_case_observes_telemetry_histogram():
     registry = _make_registry()
     metrics = MetricsRegistry()

@@ -85,7 +85,9 @@ def real_setup(rng, n=40):
 def test_defect_zero_rate_equals_clean(rng):
     model, loader = real_setup(rng)
     clean = evaluate_accuracy(model, loader)
-    result = evaluate_defect_accuracy(model, loader, 0.0, num_runs=3, rng=rng)
+    result = evaluate_defect_accuracy(
+        model, loader, 0.0, num_runs=3, seed=12345
+    )
     assert result.mean_accuracy == pytest.approx(clean)
     assert result.std_accuracy == 0.0
 
@@ -93,14 +95,16 @@ def test_defect_zero_rate_equals_clean(rng):
 def test_defect_evaluation_restores_model(rng):
     model, loader = real_setup(rng)
     pristine = {n: p.data.copy() for n, p in model.named_parameters()}
-    evaluate_defect_accuracy(model, loader, 0.3, num_runs=3, rng=rng)
+    evaluate_defect_accuracy(model, loader, 0.3, num_runs=3, seed=12345)
     for n, p in model.named_parameters():
         np.testing.assert_array_equal(p.data, pristine[n])
 
 
 def test_defect_runs_recorded(rng):
     model, loader = real_setup(rng)
-    result = evaluate_defect_accuracy(model, loader, 0.1, num_runs=5, rng=rng)
+    result = evaluate_defect_accuracy(
+        model, loader, 0.1, num_runs=5, seed=12345
+    )
     assert len(result.run_accuracies) == 5
     assert result.min_accuracy <= result.mean_accuracy <= result.max_accuracy
     assert result.p_sa == 0.1
@@ -108,7 +112,9 @@ def test_defect_runs_recorded(rng):
 
 def test_defect_mean_matches_runs(rng):
     model, loader = real_setup(rng)
-    result = evaluate_defect_accuracy(model, loader, 0.2, num_runs=4, rng=rng)
+    result = evaluate_defect_accuracy(
+        model, loader, 0.2, num_runs=4, seed=12345
+    )
     assert result.mean_accuracy == pytest.approx(
         float(np.mean(result.run_accuracies))
     )
@@ -117,25 +123,25 @@ def test_defect_mean_matches_runs(rng):
 def test_defect_deterministic_under_seed(rng):
     model, loader = real_setup(rng)
     a = evaluate_defect_accuracy(
-        model, loader, 0.1, num_runs=3, rng=np.random.default_rng(7)
+        model, loader, 0.1, num_runs=3, seed=7
     )
     b = evaluate_defect_accuracy(
-        model, loader, 0.1, num_runs=3, rng=np.random.default_rng(7)
+        model, loader, 0.1, num_runs=3, seed=7
     )
     assert a.run_accuracies == b.run_accuracies
 
 
 def test_defect_high_rate_degrades_accuracy(rng):
     model, loader = real_setup(rng, n=60)
-    low = evaluate_defect_accuracy(model, loader, 0.01, num_runs=5, rng=rng)
-    high = evaluate_defect_accuracy(model, loader, 0.5, num_runs=5, rng=rng)
+    low = evaluate_defect_accuracy(model, loader, 0.01, num_runs=5, seed=12345)
+    high = evaluate_defect_accuracy(model, loader, 0.5, num_runs=5, seed=12345)
     assert high.mean_accuracy <= low.mean_accuracy + 5.0
 
 
 def test_defect_invalid_runs(rng):
     model, loader = real_setup(rng)
     with pytest.raises(ValueError):
-        evaluate_defect_accuracy(model, loader, 0.1, num_runs=0, rng=rng)
+        evaluate_defect_accuracy(model, loader, 0.1, num_runs=0, seed=12345)
 
 
 def test_defect_seed_provenance_recorded(rng):
@@ -146,10 +152,3 @@ def test_defect_seed_provenance_recorded(rng):
     again = evaluate_defect_accuracy(model, loader, 0.1, num_runs=3, seed=11)
     assert again.run_accuracies == result.run_accuracies
 
-
-def test_defect_seed_and_rng_are_mutually_exclusive(rng):
-    model, loader = real_setup(rng)
-    with pytest.raises(ValueError):
-        evaluate_defect_accuracy(
-            model, loader, 0.1, num_runs=2, rng=rng, seed=1
-        )

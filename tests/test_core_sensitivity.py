@@ -26,51 +26,51 @@ def trained(rng):
     return model, loader
 
 
-def test_covers_every_crossbar_tensor(trained, rng):
+def test_covers_every_crossbar_tensor(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.2, num_runs=3, rng=rng)
+    results = layer_sensitivity(model, loader, 0.2, num_runs=3, seed=12345)
     expected = {name for name, _ in crossbar_parameters(model)}
     assert {r.name for r in results} == expected
 
 
-def test_sorted_most_sensitive_first(trained, rng):
+def test_sorted_most_sensitive_first(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.3, num_runs=3, rng=rng)
+    results = layer_sensitivity(model, loader, 0.3, num_runs=3, seed=12345)
     drops = [r.accuracy_drop for r in results]
     assert drops == sorted(drops, reverse=True)
 
 
-def test_model_left_untouched(trained, rng):
+def test_model_left_untouched(trained):
     model, loader = trained
     before = {n: p.data.copy() for n, p in model.named_parameters()}
-    layer_sensitivity(model, loader, 0.3, num_runs=2, rng=rng)
+    layer_sensitivity(model, loader, 0.3, num_runs=2, seed=12345)
     for n, p in model.named_parameters():
         np.testing.assert_array_equal(p.data, before[n])
 
 
-def test_zero_rate_zero_drop(trained, rng):
+def test_zero_rate_zero_drop(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.0, num_runs=2, rng=rng)
+    results = layer_sensitivity(model, loader, 0.0, num_runs=2, seed=12345)
     for r in results:
         assert r.accuracy_drop == pytest.approx(0.0)
 
 
-def test_reports_weight_counts(trained, rng):
+def test_reports_weight_counts(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.1, num_runs=1, rng=rng)
+    results = layer_sensitivity(model, loader, 0.1, num_runs=1, seed=12345)
     by_name = {r.name: r for r in results}
     assert by_name["net.layer1.weight"].num_weights == 16 * 8
 
 
-def test_invalid_runs(trained, rng):
+def test_invalid_runs(trained):
     model, loader = trained
     with pytest.raises(ValueError):
-        layer_sensitivity(model, loader, 0.1, num_runs=0, rng=rng)
+        layer_sensitivity(model, loader, 0.1, num_runs=0, seed=12345)
 
 
-def test_reports_spread_and_draw_count(trained, rng):
+def test_reports_spread_and_draw_count(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.2, num_runs=4, rng=rng)
+    results = layer_sensitivity(model, loader, 0.2, num_runs=4, seed=12345)
     for r in results:
         assert r.num_runs == 4
         assert r.std_accuracy >= 0.0
@@ -86,9 +86,9 @@ def test_std_matches_cell_accuracies(trained):
     assert any(r.std_accuracy > 0.0 for r in a)
 
 
-def test_zero_rate_zero_std(trained, rng):
+def test_zero_rate_zero_std(trained):
     model, loader = trained
-    results = layer_sensitivity(model, loader, 0.0, num_runs=3, rng=rng)
+    results = layer_sensitivity(model, loader, 0.0, num_runs=3, seed=12345)
     for r in results:
         assert r.std_accuracy == pytest.approx(0.0)
         assert r.num_runs == 3

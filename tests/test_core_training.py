@@ -174,14 +174,10 @@ def test_one_shot_improves_robustness(rng):
         ft, opt_f, p_sa_target=0.1, rng=np.random.default_rng(2)
     ).fit(loader, 10)
 
-    eval_rng = np.random.default_rng(3)
     base_defect = evaluate_defect_accuracy(
-        baseline, loader, 0.1, num_runs=10, rng=eval_rng
+        baseline, loader, 0.1, num_runs=10, seed=3
     )
-    eval_rng = np.random.default_rng(3)
-    ft_defect = evaluate_defect_accuracy(
-        ft, loader, 0.1, num_runs=10, rng=eval_rng
-    )
+    ft_defect = evaluate_defect_accuracy(ft, loader, 0.1, num_runs=10, seed=3)
     assert ft_defect.mean_accuracy > base_defect.mean_accuracy
 
 

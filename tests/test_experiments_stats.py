@@ -177,10 +177,10 @@ def test_paired_with_real_defect_evaluations(rng):
 
     rate = 0.1
     a = evaluate_defect_accuracy(
-        ft, loader, rate, num_runs=10, rng=np.random.default_rng(7)
+        ft, loader, rate, num_runs=10, seed=7
     )
     b = evaluate_defect_accuracy(
-        base, loader, rate, num_runs=10, rng=np.random.default_rng(7)
+        base, loader, rate, num_runs=10, seed=7
     )
     result = paired_comparison(a.run_accuracies, b.run_accuracies)
     # FT should not be significantly *worse*.

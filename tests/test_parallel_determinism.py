@@ -65,19 +65,6 @@ def test_layer_sensitivity_identical_across_worker_counts(model, loader):
         assert a.accuracy_drop == b.accuracy_drop
 
 
-def test_shared_rng_requests_fall_back_to_serial(model, loader):
-    # The legacy shared-stream protocol is order-dependent, so a worker
-    # request must not change its results — it runs serial either way.
-    baseline = evaluate_defect_accuracy(
-        model, loader, 0.05, num_runs=4, rng=np.random.default_rng(77)
-    )
-    with_workers = evaluate_defect_accuracy(
-        model, loader, 0.05, num_runs=4, rng=np.random.default_rng(77), workers=2
-    )
-    assert with_workers.run_accuracies == baseline.run_accuracies
-    assert with_workers.seed is None
-
-
 def test_default_seed_is_recorded_and_rematerialisable(model, loader):
     first = evaluate_defect_accuracy(model, loader, 0.05, num_runs=3)
     assert first.seed is not None

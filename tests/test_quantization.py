@@ -125,7 +125,7 @@ def test_quantized_fault_model_in_defect_evaluation(rng):
     opt = nn.SGD(model.parameters(), lr=0.1, momentum=0.9)
     Trainer(model, opt).fit(loader, 6)
     result = evaluate_defect_accuracy(
-        model, loader, 0.1, num_runs=3, rng=rng,
+        model, loader, 0.1, num_runs=3, seed=12345,
         fault_model=QuantizedFaultModel(levels=16),
     )
     assert 0.0 <= result.mean_accuracy <= 100.0
