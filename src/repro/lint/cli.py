@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` — run, baseline, schema, and rules.
+"""``python -m repro.lint`` — run, baseline, and rules.
 
 Usage::
 
@@ -8,15 +8,11 @@ Usage::
     python -m repro.lint run --changed            # git-diff-scoped
     python -m repro.lint run src tests --ignore RL007
     python -m repro.lint baseline                 # accept current findings
-    python -m repro.lint schema                   # regenerate the event
-                                                  # registry module
-    python -m repro.lint schema --check           # exit 1 when stale
     python -m repro.lint rules                    # list registered rules
 
 Exit codes: ``run`` exits 0 when no non-baselined finding remains, 1
 when any remains — the contract CI gates on — and 2 on usage errors;
-``schema --check`` exits 1 when the committed registry drifted from the
-code; ``baseline`` and ``rules`` exit 0/2.
+``baseline`` and ``rules`` exit 0/2.
 """
 
 from __future__ import annotations
@@ -37,10 +33,6 @@ __all__ = ["build_parser", "main"]
 #: Committed at the repo root, next to BENCH_0.json.
 DEFAULT_BASELINE = "LINT_BASELINE.json"
 DEFAULT_PATHS = ["src"]
-#: Default location of the committed runtime event-schema registry.
-DEFAULT_SCHEMA_MODULE = os.path.join(
-    "src", "repro", "telemetry", "schema.py"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,30 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=DEFAULT_BASELINE,
         help=f"baseline path to write (default: {DEFAULT_BASELINE})",
-    )
-
-    schema = sub.add_parser(
-        "schema",
-        help="regenerate the event-schema registry from emit() sites",
-    )
-    schema.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help=f"files/directories to extract from (default: {DEFAULT_PATHS})",
-    )
-    schema.add_argument(
-        "-o",
-        "--output",
-        default=DEFAULT_SCHEMA_MODULE,
-        help="registry module to rewrite in place "
-        f"(default: {DEFAULT_SCHEMA_MODULE}); '-' prints the generated "
-        "entries to stdout",
-    )
-    schema.add_argument(
-        "--check",
-        action="store_true",
-        help="do not write; exit 1 when the committed registry is stale",
     )
 
     rules = sub.add_parser("rules", help="list registered rules")
@@ -227,66 +195,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-def _cmd_schema(args) -> int:
-    from .engine import load_project
-    from .flow.contracts import (
-        extract_event_schemas,
-        parse_registry_literal,
-        render_schema_entries,
-        splice_schema_module,
-    )
-
-    paths = args.paths or DEFAULT_PATHS
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"schema: no such path: {path}", file=sys.stderr)
-            return 2
-    project, errors = load_project(paths)
-    if errors:
-        for finding in errors:
-            print(
-                f"schema: {finding.path}:{finding.line}: {finding.message}",
-                file=sys.stderr,
-            )
-        return 2
-    schemas = extract_event_schemas(project)
-    if not schemas:
-        print("schema: no emit() sites found under "
-              f"{', '.join(paths)}", file=sys.stderr)
-        return 2
-    if args.output == "-":
-        print(render_schema_entries(schemas))
-        return 0
-    try:
-        with open(args.output, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"schema: {exc}", file=sys.stderr)
-        return 2
-    try:
-        updated = splice_schema_module(text, schemas)
-    except ValueError as exc:
-        print(f"schema: {args.output}: {exc}", file=sys.stderr)
-        return 2
-    if args.check:
-        if updated != text:
-            print(
-                f"schema: {args.output} is stale; regenerate with "
-                "`python -m repro.lint schema`",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{args.output}: up to date ({len(schemas)} kinds)")
-        return 0
-    if updated == text:
-        print(f"{args.output}: already up to date ({len(schemas)} kinds)")
-        return 0
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(updated)
-    print(f"{args.output}: regenerated ({len(schemas)} kinds)")
-    return 0
-
-
 def _cmd_rules(args) -> int:
     from . import rules as _rules  # noqa: F401  (registers built-ins)
 
@@ -305,8 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "baseline":
         return _cmd_baseline(args)
-    if args.command == "schema":
-        return _cmd_schema(args)
     return _cmd_rules(args)
 
 

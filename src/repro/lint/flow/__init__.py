@@ -5,8 +5,8 @@ passes in this package see the whole :class:`~repro.lint.sources.Project`
 at once.  They share one import-aware call graph (:mod:`.callgraph`) and
 ship as project-scope rules:
 
-* RL011/RL012 — event-schema contracts between ``emit()`` producers and
-  telemetry consumers (:mod:`.contracts`);
+* RL011/RL012 — telemetry consumers checked against the declared
+  event-schema registry (:mod:`.contracts`);
 * RL013 — interprocedural RNG taint (:mod:`.taint`);
 * RL014/RL015 — worker purity at ``ParallelMap`` submission sites and
   call-graph dead code (:mod:`.purity`).
@@ -18,20 +18,10 @@ import the code under analysis.
 from __future__ import annotations
 
 from .callgraph import CallGraph, FunctionInfo, build_callgraph, get_callgraph
-from .contracts import (
-    BOOKKEEPING_FIELDS,
-    EventSchema,
-    extract_event_schemas,
-    render_schema_entries,
-)
 
 __all__ = [
-    "BOOKKEEPING_FIELDS",
     "CallGraph",
-    "EventSchema",
     "FunctionInfo",
     "build_callgraph",
-    "extract_event_schemas",
     "get_callgraph",
-    "render_schema_entries",
 ]

@@ -1,7 +1,7 @@
 """RL011–RL015 — cross-module dataflow rules.
 
 Thin registry adapters over :mod:`repro.lint.flow`: the call graph,
-schema extraction, taint propagation, and purity analysis live there;
+event-contract checks, taint propagation, and purity analysis live there;
 this module only binds them to rule ids so they plug into the normal
 selection, suppression, baseline, and report machinery.  All five are
 project-scope: they need every source file at once.
@@ -15,11 +15,7 @@ from typing import Iterator, Tuple
 from ..findings import ERROR, WARNING
 from ..registry import rule
 from ..sources import Project, SourceFile
-from ..flow.contracts import (
-    check_consumers,
-    check_registry_module,
-    extract_event_schemas,
-)
+from ..flow.contracts import check_consumers
 from ..flow.purity import check_dead_code, check_worker_purity
 from ..flow.taint import check_rng_taint
 
@@ -39,24 +35,18 @@ _Findings = Iterator[Tuple[SourceFile, ast.AST, str]]
     name="unknown-event-kind",
     severity=ERROR,
     scope="project",
-    description="consumer references an event kind no emit() site produces",
+    description="consumer references an event kind the registry does not "
+    "declare",
     rationale="a renamed or deleted producer silently empties dashboard "
     "sections and summary tables; the kind registry makes the contract "
     "checkable at lint time instead of in a recorded run",
 )
 def check_event_kinds(project: Project) -> _Findings:
-    """RL011: unknown event kinds, plus staleness of the committed
-    ``repro/telemetry/schema.py`` registry."""
-    schemas = extract_event_schemas(project)
-    for rule_id, source, anchor, message in check_consumers(
-        project, schemas
-    ):
+    """RL011: unknown event kinds, plus an unreadable
+    ``telemetry/schema.py`` registry."""
+    for rule_id, source, anchor, message in check_consumers(project):
         if rule_id == "RL011":
             yield source, anchor, message
-    for _, source, anchor, message in check_registry_module(
-        project, schemas
-    ):
-        yield source, anchor, message
 
 
 @rule(
@@ -64,17 +54,14 @@ def check_event_kinds(project: Project) -> _Findings:
     name="unknown-event-field",
     severity=ERROR,
     scope="project",
-    description="consumer reads an event field no emit() site produces "
-    "for the kinds in scope",
+    description="consumer reads an event field the registry does not "
+    "declare for the kinds in scope",
     rationale="a misspelled field name returns None/KeyError at render "
     "time, long after the 10^6-device run that produced the events",
 )
 def check_event_fields(project: Project) -> _Findings:
     """RL012: field accesses outside the narrowed kinds' schemas."""
-    schemas = extract_event_schemas(project)
-    for rule_id, source, anchor, message in check_consumers(
-        project, schemas
-    ):
+    for rule_id, source, anchor, message in check_consumers(project):
         if rule_id == "RL012":
             yield source, anchor, message
 

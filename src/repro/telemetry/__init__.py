@@ -26,10 +26,10 @@ indexes a directory of runs into ``index.json`` for the
 ``python -m repro.telemetry ls|show|diff|trace`` CLI.
 
 Schema and metric names are documented in ``docs/OBSERVABILITY.md``;
-the canonical event-kind registry lives in
-:mod:`~repro.telemetry.schema` (generated from the ``emit()`` sites by
-``python -m repro.lint schema`` and enforced by lint rules RL011/RL012),
-and a recorded run is checked against it with ``python -m
+every event kind and its fields are declared once in
+:mod:`~repro.telemetry.schema`.  :meth:`TelemetryRun.emit` rejects an
+event that does not match it, lint rules RL011/RL012 check the readers
+against it, and a recorded run is checked against it with ``python -m
 repro.telemetry validate``.  A finished run is inspected with ``python
 -m repro.experiments summary``.
 """

@@ -34,6 +34,7 @@ from typing import Optional
 
 from .events import EventLog, EventSink, JsonlSink, NullSink, new_run_id
 from .metrics import MetricsRegistry
+from .schema import check_emit
 from .timing import SpanTracker
 
 __all__ = [
@@ -109,7 +110,14 @@ class TelemetryRun:
         self._once_keys: set = set()
 
     def emit(self, kind: str, **fields) -> Optional[dict]:
-        """Record one event (no-op on a disabled run)."""
+        """Record one event (no-op on a disabled run).
+
+        Every event is checked against
+        :data:`~repro.telemetry.schema.EVENT_SCHEMAS` first, on enabled
+        and disabled runs alike: an undeclared kind, or a field a closed
+        kind does not declare, raises ``ValueError``.
+        """
+        check_emit(kind, fields)
         if not self.enabled:
             return None
         return self.events.emit(kind, **fields)

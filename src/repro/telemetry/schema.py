@@ -1,20 +1,21 @@
 """Canonical event-kind registry: the producer/consumer contract.
 
-The ``EVENT_SCHEMAS`` table below is **generated** — it is the static
-extraction of every ``emit(kind, **fields)`` site in ``src/repro``,
-written by::
+``EVENT_SCHEMAS`` below is the one declaration of every event kind and
+its payload fields.  It is maintained by hand and checked from both
+sides:
 
-    PYTHONPATH=src python -m repro.lint schema
+* producers — :meth:`repro.telemetry.TelemetryRun.emit` calls
+  :func:`check_emit` on every event, enabled run or not, so an emit of
+  an undeclared kind or field raises ``ValueError`` where it happens;
+* consumers — lint rules RL011/RL012 read this literal statically and
+  flag readers of unknown kinds or misspelled fields.
 
-and kept honest by lint rule RL011, which diffs this module against a
-fresh extraction on every ``python -m repro.lint run``.  Do not edit the
-generated region by hand; change the producers and regenerate.
-
-Each entry maps an event kind to the union of payload field names its
-producers emit.  ``extra: True`` marks *open* kinds — at least one
-producer splats a dict the linter cannot fully resolve (per-layer
-forensics payloads, model-cost dataclasses), so the field tuple is a
-lower bound and unknown fields are not an error at runtime either.
+Each entry maps an event kind to its payload field names.  ``extra:
+True`` marks *open* kinds whose payload also carries fields not listed
+here (per-layer forensics aggregates, model-cost dataclasses): the
+field tuple is a lower bound and unknown fields are never an error.
+Keep both tables pure literals — the lint rules read them without
+importing this module.
 
 This module is import-cheap (stdlib only, no numpy) so the lint CLI,
 the telemetry CLI, and worker processes can all use it freely.
@@ -25,12 +26,13 @@ strings instead of raising, so callers choose their own strictness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "BOOKKEEPING_FIELDS",
     "EVENT_SCHEMAS",
     "SCHEMA_VERSION",
+    "check_emit",
     "fields_for",
     "known_kinds",
     "validate_event",
@@ -52,7 +54,8 @@ BOOKKEEPING_FIELDS = (
     "worker_ts",
 )
 
-# --- BEGIN GENERATED EVENT SCHEMAS (python -m repro.lint schema) ---
+#: Every event kind with its payload fields.  A new kind or field is
+#: declared here before any ``emit`` can carry it.
 EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {
     'defect_draw': {
         "fields": (
@@ -352,11 +355,20 @@ EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {
         "extra": False,
     },
 }
-# --- END GENERATED EVENT SCHEMAS ---
+
+#: Kind -> every field an event of that kind may carry (payload plus
+#: bookkeeping), or ``None`` for an open kind.  Built once; the runtime
+#: check and the offline validator both read it.
+_ALLOWED: Dict[str, Optional[FrozenSet[str]]] = {
+    kind: None
+    if entry["extra"]
+    else frozenset(entry["fields"]) | frozenset(BOOKKEEPING_FIELDS)
+    for kind, entry in EVENT_SCHEMAS.items()
+}
 
 
 def known_kinds() -> Tuple[str, ...]:
-    """Every event kind some producer emits, sorted."""
+    """Every declared event kind, sorted."""
     return tuple(sorted(EVENT_SCHEMAS))
 
 
@@ -368,12 +380,39 @@ def fields_for(kind: str) -> Optional[Tuple[str, ...]]:
     return tuple(entry["fields"])  # type: ignore[arg-type]
 
 
+def _undeclared(kind: str, names: Iterable[str]) -> List[str]:
+    """Field names a closed ``kind`` does not declare, sorted."""
+    allowed = _ALLOWED[kind]
+    if allowed is None:
+        return []
+    return sorted(set(names) - allowed)
+
+
+def check_emit(kind: str, fields: Mapping) -> None:
+    """Raise ``ValueError`` unless ``kind`` and ``fields`` are declared.
+
+    Called by :meth:`repro.telemetry.TelemetryRun.emit` on every event.
+    Missing fields are never an error: producers emit conditionally.
+    """
+    try:
+        allowed = _ALLOWED[kind]
+    except KeyError:
+        raise ValueError(
+            f"event kind {kind!r} is not declared in EVENT_SCHEMAS"
+        ) from None
+    if allowed is not None and not allowed.issuperset(fields):
+        unknown = ", ".join(map(repr, _undeclared(kind, fields)))
+        raise ValueError(
+            f"event kind {kind!r} does not declare field(s) {unknown} "
+            "in EVENT_SCHEMAS"
+        )
+
+
 def validate_event(event: Mapping, index: Optional[int] = None) -> List[str]:
     """Problems with one recorded event against the registry.
 
-    Flags missing/unknown kinds and — for *closed* kinds only — payload
-    fields no producer emits.  Missing fields are never flagged: many
-    producers emit conditionally (fault statistics, realized rates).
+    Flags missing/unknown kinds and — for *closed* kinds only — fields
+    the kind does not declare, by the same rule as :func:`check_emit`.
     """
     where = f"event {index}" if index is not None else "event"
     if not isinstance(event, Mapping):
@@ -381,18 +420,12 @@ def validate_event(event: Mapping, index: Optional[int] = None) -> List[str]:
     kind = event.get("kind")
     if not isinstance(kind, str) or not kind:
         return [f"{where}: missing or non-string 'kind'"]
-    entry = EVENT_SCHEMAS.get(kind)
-    if entry is None:
+    if kind not in _ALLOWED:
         return [f"{where}: unknown kind {kind!r}"]
-    if entry.get("extra"):
-        return []
-    allowed = set(entry["fields"]) | set(BOOKKEEPING_FIELDS)
-    problems = []
-    for name in sorted(set(event) - allowed):
-        problems.append(
-            f"{where} ({kind}): field {name!r} is not in the schema"
-        )
-    return problems
+    return [
+        f"{where} ({kind}): field {name!r} is not in the schema"
+        for name in _undeclared(kind, event)
+    ]
 
 
 def validate_events(events: Iterable[Mapping]) -> List[str]:

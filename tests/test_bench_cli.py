@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.bench import load_bench
 from repro.bench.cli import build_parser, main as bench_main
+from repro.bench.provenance import git_sha
 from repro.bench.report import format_seconds, format_table
 
 
@@ -80,7 +82,10 @@ def test_run_writes_schema_valid_bench_file(tmp_path, capsys):
     assert case["repeats"] == 3
     assert case["stats"]["median"] > 0.0
     assert "mad" in case["stats"] and "p95" in case["stats"]
-    assert doc["provenance"]["git_sha"]
+    # None outside a git checkout (an exported tree), else a full SHA-1.
+    sha = doc["provenance"]["git_sha"]
+    assert sha == git_sha()
+    assert sha is None or re.fullmatch(r"[0-9a-f]{40}", sha)
     assert doc["provenance"]["numpy"]
     captured = capsys.readouterr().out
     assert "faults/sample_fault_map" in captured

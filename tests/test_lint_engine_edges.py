@@ -44,13 +44,6 @@ def test_cli_reports_syntax_error_and_exits_1(tmp_path):
     assert "RL000" in proc.stdout
 
 
-def test_schema_subcommand_rejects_unparsable_tree(tmp_path):
-    (tmp_path / "bad.py").write_text("def broken(:\n")
-    proc = run_cli(["schema", "-o", "-", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 2
-    assert "syntax error" in proc.stderr
-
-
 # -- empty trees ------------------------------------------------------------
 
 

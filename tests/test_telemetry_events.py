@@ -140,14 +140,14 @@ def test_disabled_run_writes_no_files(tmp_path):
 def test_session_writes_run_directory(tmp_path):
     with telemetry.session(str(tmp_path), config={"scale": "ci"}) as run:
         assert telemetry.current() is run
-        run.emit("custom", x=1)
+        run.emit("log", level="INFO", message="hello")
     assert telemetry.current() is telemetry.NULL_RUN
 
     events = read_events(os.path.join(run.directory, "events.jsonl"))
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "run_start"
     assert kinds[-1] == "run_end"
-    assert "custom" in kinds
+    assert "log" in kinds
     assert events[0]["config"] == {"scale": "ci"}
     # close() persisted the metrics snapshot and run provenance.
     assert os.path.isfile(os.path.join(run.directory, "metrics.json"))
@@ -166,9 +166,24 @@ def test_nested_start_run_rejected(tmp_path):
 def test_memory_sink_session_collects_events():
     sink = MemorySink()
     with telemetry.session(sink=sink):
-        telemetry.current().emit("ping")
+        telemetry.current().emit("heartbeat")
     kinds = [e["kind"] for e in sink.events]
-    assert kinds == ["run_start", "ping", "run_end"]
+    assert kinds == ["run_start", "heartbeat", "run_end"]
+
+
+@pytest.mark.parametrize(
+    "sink", [MemorySink(), NullSink()], ids=["enabled", "disabled"]
+)
+def test_emit_checks_events_against_the_registry(sink):
+    run = telemetry.TelemetryRun(sink=sink)
+    assert run.enabled is isinstance(sink, MemorySink)
+    with pytest.raises(ValueError, match="'no_such_kind'"):
+        run.emit("no_such_kind")
+    with pytest.raises(ValueError, match="'acuracy'"):
+        run.emit("defect_draw", draw=0, acuracy=0.5)
+    # Open kinds declare only a lower bound of their fields.
+    run.emit("model_cost", model="MLP", macs=200)
+    run.emit("defect_draw", draw=0, accuracy=0.5, worker_pid=1)
 
 
 def test_telemetry_log_handler_forwards_records():

@@ -40,7 +40,7 @@ def _make_run(directory, seed, methods):
             )
             for rate, acc in ((0.01, retrain - 3.0), (0.02, retrain - 6.0 - m)):
                 run.emit(
-                    "defect_eval", p_sa=rate, runs=4, mean_accuracy=acc
+                    "defect_eval", p_sa=rate, num_runs=4, mean_accuracy=acc
                 )
         run.emit(
             "model_cost", model="MLP", params=100, macs=200, flops=420,
