@@ -7,6 +7,8 @@ kernels the paper's pipeline spends its time in:
 * ``conv2d/forward`` / ``conv2d/train_step`` — the numpy convolution
   every model forward/backward bottoms out in (a backward consumes its
   forward's saved state, so the training case times the pair);
+* ``batchnorm2d/train_step`` / ``relu/train_step`` — the layers between
+  convolutions, fed a conv output's NHWC memory;
 * ``faults/sample_fault_map`` / ``faults/apply`` — the per-step fault
   draw that stochastic fault-tolerant training performs on *every*
   forward pass;
@@ -108,6 +110,46 @@ def _conv_forward(state):
 def _conv_train_step(state):
     state["layer"](state["x"])
     return state["layer"].backward(state["grad"])
+
+
+def _activation_setup(make_layer):
+    """Setup for a layer fed a Conv2d output: the input is NHWC memory, and
+    the gradient NCHW memory, as ``col2im`` and ReLU backward return it."""
+
+    def setup(params: dict, rng: np.random.Generator) -> dict:
+        shape = (params["batch"], params["channels"], params["size"], params["size"])
+        nhwc = rng.normal(size=shape).transpose(0, 2, 3, 1)
+        x = np.ascontiguousarray(nhwc).transpose(0, 3, 1, 2)
+        return {"layer": make_layer(params), "x": x, "grad": rng.normal(size=shape)}
+
+    return setup
+
+
+def _forward_backward(state):
+    state["layer"](state["x"])
+    return state["layer"].backward(state["grad"])
+
+
+#: Small maps for CI; the bench ResNet-8's stage-1 activation on a
+#: training batch for real work.
+_ACTIVATION_PARAMS = {
+    "fast": {"batch": 8, "channels": 8, "size": 8},
+    "full": {"batch": 50, "channels": 16, "size": 12},
+}
+
+benchmark(
+    "batchnorm2d/train_step",
+    params=_ACTIVATION_PARAMS,
+    setup=_activation_setup(lambda params: nn.BatchNorm2d(params["channels"])),
+    description="BatchNorm2d training forward + backward on a conv output",
+)(_forward_backward)
+
+benchmark(
+    "relu/train_step",
+    params=_ACTIVATION_PARAMS,
+    setup=_activation_setup(lambda params: nn.ReLU()),
+    description="ReLU forward + backward on a conv output",
+)(_forward_backward)
 
 
 def _fault_map_setup(params: dict, rng: np.random.Generator) -> dict:

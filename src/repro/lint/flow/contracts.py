@@ -27,6 +27,7 @@ RL011 finding.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -415,12 +416,22 @@ class _ConsumerChecker:
     def _check_expr(
         self, node: ast.AST, kinds: Optional[Set[str]]
     ) -> None:
-        """Walk one expression tree, validating accesses."""
-        nested = _nested_function_nodes(node)
-        for child in ast.walk(node):
-            if id(child) in nested:
+        """Walk one expression tree, validating each access once.
+
+        Nested defs get their own scope pass.  A comprehension that
+        narrows the kinds checks its element itself, so the walk skips it.
+        """
+        todo = deque([node])
+        while todo:
+            child = todo.popleft()
+            checked = self._check_node(child, kinds)
+            if child is not node and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
                 continue
-            self._check_node(child, kinds)
+            todo.extend(
+                sub for sub in ast.iter_child_nodes(child) if sub is not checked
+            )
 
     def _stored_event_kinds(self, node: ast.AST):
         """Kinds of events yielded by iterating ``node``, or the
@@ -453,7 +464,11 @@ class _ConsumerChecker:
             return self.scope.dict_collections[node.func.value.id]
         return _NOT_A_COLLECTION
 
-    def _check_node(self, node: ast.AST, kinds: Optional[Set[str]]) -> None:
+    def _check_node(
+        self, node: ast.AST, kinds: Optional[Set[str]]
+    ) -> Optional[ast.AST]:
+        """Validate the accesses ``node`` itself makes; returns a subtree
+        already checked under a tighter narrowing, if any."""
         # comprehensions: re-derive narrowing from their generators
         # (iterating a tracked event collection binds a new event var)
         # and their if-clauses
@@ -474,10 +489,9 @@ class _ConsumerChecker:
                     if pos is not None:
                         local = pos if local is None else local & pos
             if local is not kinds:
-                # elt was/will be visited with the outer narrowing by the
-                # surrounding walk; re-check it under the tighter one.
                 self._check_expr(node.elt, local)
-            return
+                return node.elt
+            return None
         # kind usages
         if isinstance(node, ast.Compare) and len(node.ops) == 1:
             left, op, right = node.left, node.ops[0], node.comparators[0]

@@ -15,6 +15,24 @@ __all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity", "Dropout"]
 _IDENTITY = "identity"
 
 
+def _axis_order(a: np.ndarray) -> list:
+    """``a``'s axes from the largest stride to the smallest, ties in C order."""
+    return sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis]))
+
+
+def _in_layout_of(mask: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``mask``, copied into ``like``'s memory layout if not already in it.
+
+    An elementwise op over two layouts walks one of them with short
+    strided loops; a bool copy first costs far less than that.
+    """
+    if _axis_order(mask) == _axis_order(like):
+        return mask
+    copy = np.empty_like(like, dtype=mask.dtype)
+    copy[...] = mask
+    return copy
+
+
 class ReLU(Module):
     """Rectified linear unit."""
 
@@ -23,7 +41,7 @@ class ReLU(Module):
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._pop_saved()
+        return grad_out * _in_layout_of(self._pop_saved(), grad_out)
 
 
 class LeakyReLU(Module):
@@ -38,8 +56,9 @@ class LeakyReLU(Module):
         return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mask = self._pop_saved()
-        return np.where(mask, grad_out, self.negative_slope * grad_out)
+        grad_x = np.multiply(self.negative_slope, grad_out)
+        np.copyto(grad_x, grad_out, where=_in_layout_of(self._pop_saved(), grad_out))
+        return grad_x
 
 
 class Tanh(Module):

@@ -2,14 +2,15 @@
 
 The convolution layers are built on the classic ``im2col``/``col2im``
 lowering: a convolution becomes one matrix multiply per block of images
-(:func:`repro.nn.conv.conv2d_blocks`), and its backward pass becomes a
-matrix multiply plus a ``col2im`` scatter.  This keeps every gradient an
-explicit, testable numpy expression.
+(:func:`repro.nn.conv.conv2d_blocks`), and its backward pass becomes one
+whole-batch weight-gradient multiply plus, per block, a data-gradient
+multiply and a ``col2im`` scatter.  This keeps every gradient an explicit,
+testable numpy expression.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +27,9 @@ __all__ = [
 ]
 
 
-#: Patch bytes per block of images (fits in L2): :func:`col2im` scatters
-#: one block at a time, and a convolution forward lowers one at a time.
+#: Patch bytes per block of images (fits in L2): a convolution forward
+#: lowers, and its data gradient and :func:`col2im` scatter, one block at
+#: a time.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -74,13 +76,18 @@ def unpad2d(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int, int]:
     """Lower an NCHW tensor into convolution patches.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
     ``(N * out_h * out_w, C * kernel * kernel)``: one row per output pixel,
-    one column per weight element.
+    one column per weight element.  ``cols`` is ``out`` when given (a
+    C-contiguous array of that shape and ``x``'s dtype).
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -98,7 +105,9 @@ def im2col(
         strides=(sn, sh * stride, sw * stride, sc, sh, sw),
         writeable=False,
     )
-    cols = np.empty((n * out_h * out_w, c * kernel * kernel), dtype=x.dtype)
+    cols = out
+    if cols is None:
+        cols = np.empty((n * out_h * out_w, c * kernel * kernel), dtype=x.dtype)
     # One kernel row is ``kernel`` adjacent input elements: copy it as one
     # opaque item, so the copy loop runs 1/kernel as many iterations.
     row = np.dtype((np.void, kernel * x.itemsize))
@@ -112,33 +121,41 @@ def col2im(
     kernel: int,
     stride: int,
     padding: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Scatter-add patch rows back into an NCHW tensor (adjoint of im2col)."""
+    """Scatter-add patch rows back into an NCHW tensor (adjoint of im2col).
+
+    Returns a C-contiguous ``(N, C, H, W)`` array: ``out`` when given.
+    Each block of images (:func:`image_blocks`, small enough that the
+    kernel*kernel passes over it re-read its patches from cache)
+    accumulates in a zeroed, padded NHWC buffer, which has C innermost as
+    ``cols`` has; the block's interior is then copied into the result.
+    Patches at distinct output pixels may overlap in the input, so each
+    kernel offset is a vectorised "+=", in a fixed (ki, kj) order: every
+    element sums its contributions from +0.0 in that order, however the
+    batch is blocked.
+    """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
-    h_padded, w_padded = h + 2 * padding, w + 2 * padding
-
+    if out is None:
+        out = np.empty(x_shape, dtype=cols.dtype)
     patches = cols.reshape(n, out_h, out_w, c, kernel, kernel)
-    x_padded = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
-    # Accumulate through an (N, H, W, C) view, which walks ``patches`` in
-    # memory order; the buffer (and so the result's strides) stays NCHW.
-    # Patches at distinct output pixels may overlap in the input, so each
-    # kernel offset is a vectorised "+=", in a fixed (ki, kj) order.  Images
-    # go in blocks small enough that the kernel*kernel passes over a block
-    # re-read its patches from cache.
-    x_nhwc = x_padded.transpose(0, 2, 3, 1)
-    for start, stop in image_blocks(n, cols.nbytes // max(n, 1)):
-        dst = x_nhwc[start:stop]
+    blocks = image_blocks(n, cols.nbytes // max(n, 1))
+    largest = max(stop - start for start, stop in blocks)
+    acc = np.empty((largest, h + 2 * padding, w + 2 * padding, c), cols.dtype)
+    for start, stop in blocks:
+        dst = acc[: stop - start]
+        dst.fill(0.0)
         src = patches[start:stop]
         for ki in range(kernel):
             i_max = ki + stride * out_h
             for kj in range(kernel):
                 j_max = kj + stride * out_w
                 dst[:, ki:i_max:stride, kj:j_max:stride] += src[..., ki, kj]
-    if padding:
-        return x_padded[:, :, padding:-padding, padding:-padding]
-    return x_padded
+        interior = dst[:, padding : padding + h, padding : padding + w]
+        out[start:stop] = interior.transpose(0, 3, 1, 2)
+    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

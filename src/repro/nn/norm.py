@@ -39,42 +39,72 @@ class _BatchNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._reduce_axes(x)
         shape = self._channel_shape(x)
+        out = None
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
             m = float(np.prod([x.shape[a] for a in axes]))
+            # x - mean once, by the operations np.mean and np.var use, so
+            # the statistics keep their bits.  x_hat and the squares keep
+            # x's memory layout, and the squares' buffer becomes the output.
+            mean = np.add.reduce(x, axes, keepdims=True) / m
+            x_hat = np.subtract(x, mean)
+            out = np.square(x_hat)
+            var = out.sum(axis=axes) / m
             # Running var uses the unbiased estimator, as in PyTorch.
             unbiased = var * m / max(m - 1.0, 1.0)
             self.set_buffer(
                 "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mean,
+                (1 - self.momentum) * self.running_mean
+                + self.momentum * mean.reshape(-1),
             )
             self.set_buffer(
                 "running_var",
                 (1 - self.momentum) * self.running_var + self.momentum * unbiased,
             )
         else:
-            mean = self.running_mean
+            x_hat = np.subtract(x, self.running_mean.reshape(shape))
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+        x_hat *= inv_std.reshape(shape)
         self._saved = (x_hat, inv_std, axes, shape)
-        return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
+        out = np.multiply(self.gamma.data.reshape(shape), x_hat, out=out)
+        out += self.beta.data.reshape(shape)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """The input gradient, written into x_hat's memory (its layout).
+
+        numpy's reduction order follows memory layout, so each channel sum
+        reduces an array laid out as the plain expression's temporary was:
+        the products in one scratch buffer laid out as numpy lays out
+        ``grad_out * x_hat`` (NCHW for the gradients the layers return).
+        ``grad_out`` itself is never written.
+        """
         x_hat, inv_std, axes, shape = self._pop_saved()
-        self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
+        gamma = self.gamma.data.reshape(shape)
+        scratch = np.multiply(grad_out, x_hat)
+        self.gamma.grad += scratch.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
-        grad_xhat = grad_out * self.gamma.data.reshape(shape)
         if not self.training:
             # Eval mode: mean/var are constants.
-            return grad_xhat * inv_std.reshape(shape)
+            grad_x = np.multiply(grad_out, gamma, out=x_hat)
+            grad_x *= inv_std.reshape(shape)
+            return grad_x
         m = float(np.prod([grad_out.shape[a] for a in axes]))
+        # grad_xhat = grad_out * gamma is summed in the layout numpy gives
+        # it, grad_out's own: in scratch only when scratch has that layout.
+        same_layout = scratch.strides == grad_out.strides
+        grad_xhat = np.multiply(grad_out, gamma, out=scratch if same_layout else None)
         sum_g = grad_xhat.sum(axis=axes).reshape(shape)
-        sum_gx = (grad_xhat * x_hat).sum(axis=axes).reshape(shape)
-        return (inv_std.reshape(shape) / m) * (
-            m * grad_xhat - sum_g - x_hat * sum_gx
-        )
+        np.multiply(grad_xhat, x_hat, out=scratch)
+        sum_gx = scratch.sum(axis=axes).reshape(shape)
+        # (inv_std / m) * (m * grad_xhat - sum_g - x_hat * sum_gx)
+        grad_x = np.multiply(x_hat, sum_gx, out=x_hat)
+        diff = np.multiply(grad_out, gamma, out=scratch)
+        diff *= m
+        diff -= sum_g
+        np.subtract(diff, grad_x, out=grad_x)
+        grad_x *= inv_std.reshape(shape) / m
+        return grad_x
 
 
 class BatchNorm2d(_BatchNorm):

