@@ -13,26 +13,17 @@
   partner cell of each faulty pair; needs per-device fault maps.
 """
 
-from .compensation import compensate_mapped_matrix, compensation_residual
-from .device_specific import DeviceFaultMap, DeviceSpecificRetrainer
-from .ecoc import (
-    ECOCLoss,
-    ecoc_predict,
-    evaluate_ecoc_accuracy,
-    generate_codebook,
-    minimum_hamming_distance,
-)
-from .redundancy import RedundantWeightProtection
+from .._exports import lazy_exports
 
-__all__ = [
-    "DeviceFaultMap",
-    "DeviceSpecificRetrainer",
-    "RedundantWeightProtection",
-    "generate_codebook",
-    "ECOCLoss",
-    "ecoc_predict",
-    "evaluate_ecoc_accuracy",
-    "minimum_hamming_distance",
-    "compensate_mapped_matrix",
-    "compensation_residual",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compensation": ("compensate_mapped_matrix", "compensation_residual"),
+        "device_specific": ("DeviceFaultMap", "DeviceSpecificRetrainer"),
+        "ecoc": (
+            "generate_codebook", "ECOCLoss", "ecoc_predict",
+            "evaluate_ecoc_accuracy", "minimum_hamming_distance",
+        ),
+        "redundancy": ("RedundantWeightProtection",),
+    },
+)

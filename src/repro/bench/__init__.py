@@ -36,50 +36,26 @@ threshold, so CI can gate on it.  The JSON schema is documented in
 ``docs/OBSERVABILITY.md``.
 """
 
-from .compare import CaseDelta, ComparisonResult, compare_benches
-from .provenance import collect_provenance
-from .registry import (
-    BenchmarkCase,
-    BenchmarkRegistry,
-    benchmark,
-    default_registry,
-)
-from .report import format_seconds, format_table, render_bench, render_comparison
-from .runner import CaseResult, RunnerConfig, run_case, run_suite
-from .schema import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    SchemaError,
-    load_bench,
-    validate_bench,
-    write_bench,
-)
-from .stats import describe, mad, reject_outliers
+from .._exports import lazy_exports
 
-__all__ = [
-    "BenchmarkCase",
-    "BenchmarkRegistry",
-    "benchmark",
-    "default_registry",
-    "RunnerConfig",
-    "CaseResult",
-    "run_case",
-    "run_suite",
-    "collect_provenance",
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "load_bench",
-    "validate_bench",
-    "write_bench",
-    "CaseDelta",
-    "ComparisonResult",
-    "compare_benches",
-    "format_table",
-    "format_seconds",
-    "render_bench",
-    "render_comparison",
-    "describe",
-    "mad",
-    "reject_outliers",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compare": ("CaseDelta", "ComparisonResult", "compare_benches"),
+        "provenance": ("collect_provenance",),
+        "registry": (
+            "BenchmarkCase", "BenchmarkRegistry", "benchmark",
+            "default_registry",
+        ),
+        "report": (
+            "format_table", "format_seconds", "render_bench",
+            "render_comparison",
+        ),
+        "runner": ("RunnerConfig", "CaseResult", "run_case", "run_suite"),
+        "schema": (
+            "SCHEMA_NAME", "SCHEMA_VERSION", "SchemaError", "load_bench",
+            "validate_bench", "write_bench",
+        ),
+        "stats": ("describe", "mad", "reject_outliers"),
+    },
+)

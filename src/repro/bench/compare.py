@@ -43,6 +43,7 @@ class CaseDelta:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """JSON-ready form of this delta."""
         return {
             "name": self.name,
             "status": self.status,
@@ -75,6 +76,7 @@ class ComparisonResult:
         return not self.regressions
 
     def to_dict(self) -> dict:
+        """JSON-ready form of the comparison."""
         return {
             "threshold": self.threshold,
             "noise_mads": self.noise_mads,

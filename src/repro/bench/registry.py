@@ -101,6 +101,7 @@ class BenchmarkCase:
         return self.func(state)
 
     def cleanup(self, state) -> None:
+        """Run the case's teardown on ``state``, if it has one."""
         if self.teardown is not None:
             self.teardown(state)
 
@@ -118,12 +119,14 @@ class BenchmarkRegistry:
         return name in self._cases
 
     def register(self, case: BenchmarkCase) -> BenchmarkCase:
+        """Add ``case``; raises on a duplicate name."""
         if case.name in self._cases:
             raise ValueError(f"benchmark {case.name!r} already registered")
         self._cases[case.name] = case
         return case
 
     def get(self, name: str) -> BenchmarkCase:
+        """The case called ``name``; raises KeyError naming the known ones."""
         try:
             return self._cases[name]
         except KeyError:

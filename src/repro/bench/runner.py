@@ -72,6 +72,7 @@ class RunnerConfig:
             raise ValueError("min_time must be >= 0")
 
     def to_dict(self) -> dict:
+        """JSON-ready form of the configuration."""
         return asdict(self)
 
 
@@ -95,6 +96,7 @@ class CaseResult:
     profile: Optional[dict] = None
 
     def to_dict(self) -> dict:
+        """JSON-ready form of the result."""
         doc = {
             "suite": self.suite,
             "params": self.params,

@@ -1,49 +1,26 @@
 """The paper's contribution: stochastic fault-tolerant training, defect
 evaluation and the Stability Score."""
 
-from .evaluate import (
-    DefectEvaluation,
-    FaultDrawSpec,
-    evaluate_accuracy,
-    evaluate_defect_accuracy,
-    evaluate_one_draw,
-)
-from .injector import FaultInjector, apply_fault
-from .analysis import FaultImpact, expected_fault_impact
-from .calibration import recalibrate_batchnorm
-from .fleet import FleetReport, simulate_fleet
-from .report import AccuracyReport
-from .sensitivity import LayerSensitivity, layer_sensitivity
-from .stability import StabilityResult, stability_score
-from .training import (
-    OneShotFaultTolerantTrainer,
-    ProgressiveFaultTolerantTrainer,
-    Trainer,
-    TrainingHistory,
-    default_progressive_schedule,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "apply_fault",
-    "FaultInjector",
-    "Trainer",
-    "OneShotFaultTolerantTrainer",
-    "ProgressiveFaultTolerantTrainer",
-    "TrainingHistory",
-    "default_progressive_schedule",
-    "evaluate_accuracy",
-    "evaluate_defect_accuracy",
-    "evaluate_one_draw",
-    "FaultDrawSpec",
-    "DefectEvaluation",
-    "stability_score",
-    "StabilityResult",
-    "AccuracyReport",
-    "layer_sensitivity",
-    "LayerSensitivity",
-    "expected_fault_impact",
-    "FaultImpact",
-    "simulate_fleet",
-    "FleetReport",
-    "recalibrate_batchnorm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "evaluate": (
+            "evaluate_accuracy", "evaluate_defect_accuracy",
+            "evaluate_one_draw", "FaultDrawSpec", "DefectEvaluation",
+        ),
+        "injector": ("apply_fault", "FaultInjector"),
+        "analysis": ("expected_fault_impact", "FaultImpact"),
+        "calibration": ("recalibrate_batchnorm",),
+        "fleet": ("simulate_fleet", "FleetReport"),
+        "report": ("AccuracyReport",),
+        "sensitivity": ("layer_sensitivity", "LayerSensitivity"),
+        "stability": ("stability_score", "StabilityResult"),
+        "training": (
+            "Trainer", "OneShotFaultTolerantTrainer",
+            "ProgressiveFaultTolerantTrainer", "TrainingHistory",
+            "default_progressive_schedule",
+        ),
+    },
+)

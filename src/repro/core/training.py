@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..nn import CrossEntropyLoss, clip_grad_norm
 from ..datasets.loader import DataLoader
 from ..reram.faults import WeightSpaceFaultModel
 from ..telemetry import Stopwatch
@@ -147,7 +148,7 @@ class Trainer:
     ) -> None:
         self.model = model
         self.optimizer = optimizer
-        self.loss_fn = loss_fn if loss_fn is not None else nn.CrossEntropyLoss()
+        self.loss_fn = loss_fn if loss_fn is not None else CrossEntropyLoss()
         self.scheduler = scheduler
         self.val_loader = val_loader
         self.on_epoch_end = on_epoch_end
@@ -169,7 +170,7 @@ class Trainer:
         capture = telemetry.enabled
         if self.grad_clip is not None:
             pre = float(
-                nn.clip_grad_norm(self.optimizer.parameters, self.grad_clip)
+                clip_grad_norm(self.optimizer.parameters, self.grad_clip)
             )
             post = min(pre, self.grad_clip)
         elif capture:

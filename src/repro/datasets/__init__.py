@@ -1,41 +1,23 @@
 """Datasets and the data-loading pipeline."""
 
-from .cifar import (
-    cifar10_available,
-    cifar100_available,
-    load_cifar10,
-    load_cifar100,
-)
-from .dataset import ArrayDataset, Dataset, Subset
-from .loader import DataLoader
-from .synthetic import (
-    SyntheticConfig,
-    SyntheticImageClassification,
-    make_synthetic_pair,
-)
-from .transforms import (
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "ArrayDataset",
-    "Subset",
-    "DataLoader",
-    "SyntheticConfig",
-    "SyntheticImageClassification",
-    "make_synthetic_pair",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "GaussianNoise",
-    "cifar10_available",
-    "cifar100_available",
-    "load_cifar10",
-    "load_cifar100",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cifar": (
+            "cifar10_available", "cifar100_available", "load_cifar10",
+            "load_cifar100",
+        ),
+        "dataset": ("Dataset", "ArrayDataset", "Subset"),
+        "loader": ("DataLoader",),
+        "synthetic": (
+            "SyntheticConfig", "SyntheticImageClassification",
+            "make_synthetic_pair",
+        ),
+        "transforms": (
+            "Compose", "Normalize", "RandomCrop", "RandomHorizontalFlip",
+            "GaussianNoise",
+        ),
+    },
+)

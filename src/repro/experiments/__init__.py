@@ -1,55 +1,26 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from .config import (
-    SCALES,
-    TABLE1_TEST_RATES,
-    TABLE1_TRAIN_RATES,
-    ExperimentScale,
-    get_scale,
-)
-from .figure2 import Figure2Result, run_figure2
-from .io import load_reports, save_json, save_reports, save_text
-from .runner import (
-    build_backbone,
-    clone_model,
-    evaluate_defect_grid,
-    make_loaders,
-    method_report,
-    pretrain_model,
-    train_fault_tolerant,
-)
-from .stats import PairedComparison, mean_confidence_interval, paired_comparison
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
-from .tables import render_series, render_table1, render_table2_rows
+from .._exports import lazy_exports
 
-__all__ = [
-    "ExperimentScale",
-    "SCALES",
-    "get_scale",
-    "TABLE1_TEST_RATES",
-    "TABLE1_TRAIN_RATES",
-    "run_table1",
-    "Table1Result",
-    "run_table2",
-    "Table2Result",
-    "run_figure2",
-    "Figure2Result",
-    "build_backbone",
-    "make_loaders",
-    "pretrain_model",
-    "clone_model",
-    "train_fault_tolerant",
-    "evaluate_defect_grid",
-    "method_report",
-    "render_table1",
-    "render_table2_rows",
-    "render_series",
-    "save_reports",
-    "load_reports",
-    "save_text",
-    "save_json",
-    "mean_confidence_interval",
-    "paired_comparison",
-    "PairedComparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "ExperimentScale", "SCALES", "get_scale", "TABLE1_TEST_RATES",
+            "TABLE1_TRAIN_RATES",
+        ),
+        "figure2": ("run_figure2", "Figure2Result"),
+        "io": ("save_reports", "load_reports", "save_text", "save_json"),
+        "runner": (
+            "build_backbone", "make_loaders", "pretrain_model", "clone_model",
+            "train_fault_tolerant", "evaluate_defect_grid", "method_report",
+        ),
+        "stats": (
+            "mean_confidence_interval", "paired_comparison",
+            "PairedComparison",
+        ),
+        "table1": ("run_table1", "Table1Result"),
+        "table2": ("run_table2", "Table2Result"),
+        "tables": ("render_table1", "render_table2_rows", "render_series"),
+    },
+)

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .. import nn
+from ..nn import SGD, CosineAnnealingLR
 from ..core import (
     AccuracyReport,
     OneShotFaultTolerantTrainer,
@@ -24,6 +25,7 @@ from ..core import (
     default_progressive_schedule,
     evaluate_accuracy,
     evaluate_defect_accuracy,
+    stability_score,
 )
 from ..datasets import DataLoader, make_synthetic_pair
 from ..forensics import ForensicsConfig
@@ -139,13 +141,13 @@ def pretrain_model(
     """
     rng = np.random.default_rng(scale.seed + 10)
     model = build_backbone(scale, num_classes, rng)
-    optimizer = nn.SGD(
+    optimizer = SGD(
         model.parameters(),
         lr=scale.lr,
         momentum=scale.momentum,
         weight_decay=scale.weight_decay,
     )
-    scheduler = nn.CosineAnnealingLR(optimizer, t_max=scale.pretrain_epochs)
+    scheduler = CosineAnnealingLR(optimizer, t_max=scale.pretrain_epochs)
     trainer = Trainer(model, optimizer, scheduler=scheduler)
     telemetry = _telemetry()
     with telemetry.span("pretrain"):
@@ -203,7 +205,7 @@ def train_fault_tolerant(
         preserve_sparsity=preserve_sparsity,
     )
     retrained = clone_model(model)
-    optimizer = nn.SGD(
+    optimizer = SGD(
         retrained.parameters(),
         lr=scale.ft_lr,  # retraining starts from a trained model
         momentum=scale.momentum,
@@ -219,7 +221,7 @@ def train_fault_tolerant(
                     param, (param.data != 0.0).astype(np.float64)
                 )
     if method == "one_shot":
-        scheduler = nn.CosineAnnealingLR(optimizer, t_max=scale.ft_epochs)
+        scheduler = CosineAnnealingLR(optimizer, t_max=scale.ft_epochs)
         trainer = OneShotFaultTolerantTrainer(
             retrained,
             optimizer,
@@ -241,7 +243,7 @@ def train_fault_tolerant(
     epochs_per_level = max(
         1, round(scale.ft_epochs * scale.progressive_epoch_fraction)
     )
-    scheduler = nn.CosineAnnealingLR(
+    scheduler = CosineAnnealingLR(
         optimizer, t_max=len(schedule) * epochs_per_level
     )
     trainer = ProgressiveFaultTolerantTrainer(
@@ -349,10 +351,6 @@ def run_pipeline_cell(
         "stability_score", "p_sa", "p_sa_train"}`` — accuracies in
         percent, ``stability_score`` per equation (1).
     """
-    from ..core.stability import stability_score
-    from ..pruning import magnitude_prune
-    from ..quantization import quantize_model_weights
-
     classes = num_classes if num_classes is not None else scale.num_classes_small
     telemetry = _telemetry()
     with telemetry.span("sweep_cell"):
@@ -361,6 +359,10 @@ def run_pipeline_cell(
             scale, classes, train_loader, test_loader
         )
         if sparsity > 0.0:
+            # Pruning and quantization stay cold unless a cell uses them
+            # (repro.sweep.execute loads both before its pool forks).
+            from ..pruning import magnitude_prune
+
             magnitude_prune(model, sparsity)
         if variant == "baseline":
             evaluated = model
@@ -376,6 +378,8 @@ def run_pipeline_cell(
                 preserve_sparsity=sparsity > 0.0,
             )
         if quant_bits:
+            from ..quantization import quantize_model_weights
+
             quantize_model_weights(evaluated, levels=2 ** quant_bits)
         acc_retrain = (
             acc_pretrain

@@ -10,28 +10,16 @@ Recorded runs are inspected with ``python -m repro.telemetry forensics``
 or the HTML dashboard's deviation heatmap.
 """
 
-from .aggregate import (
-    DRAW_SUM_FIELDS,
-    LAYER_SUM_FIELDS,
-    aggregate_events,
-    aggregate_payloads,
-    deviation_matrix,
-    finalize_layer,
-)
-from .probe import DeviationProbe, ForensicsConfig, named_leaf_modules
-from .render import HEATMAP_METRICS, forensics_summary, render_forensics
+from .._exports import lazy_exports
 
-__all__ = [
-    "ForensicsConfig",
-    "DeviationProbe",
-    "named_leaf_modules",
-    "LAYER_SUM_FIELDS",
-    "DRAW_SUM_FIELDS",
-    "finalize_layer",
-    "aggregate_payloads",
-    "aggregate_events",
-    "deviation_matrix",
-    "HEATMAP_METRICS",
-    "forensics_summary",
-    "render_forensics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": (
+            "LAYER_SUM_FIELDS", "DRAW_SUM_FIELDS", "finalize_layer",
+            "aggregate_payloads", "aggregate_events", "deviation_matrix",
+        ),
+        "probe": ("ForensicsConfig", "DeviationProbe", "named_leaf_modules"),
+        "render": ("HEATMAP_METRICS", "forensics_summary", "render_forensics"),
+    },
+)

@@ -21,25 +21,15 @@ or programmatically::
 See ``docs/STATIC_ANALYSIS.md`` for every rule with bad/good examples.
 """
 
-from .baseline import Baseline, BaselineError
-from .engine import Project, SourceFile, lint_paths, lint_sources
-from .findings import ERROR, WARNING, Finding
-from .registry import LintRule, RuleRegistry, default_registry, rule
-from .suppressions import Suppressions
+from .._exports import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselineError",
-    "ERROR",
-    "WARNING",
-    "Finding",
-    "LintRule",
-    "Project",
-    "RuleRegistry",
-    "SourceFile",
-    "Suppressions",
-    "default_registry",
-    "lint_paths",
-    "lint_sources",
-    "rule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "baseline": ("Baseline", "BaselineError"),
+        "engine": ("Project", "SourceFile", "lint_paths", "lint_sources"),
+        "findings": ("ERROR", "WARNING", "Finding"),
+        "registry": ("LintRule", "RuleRegistry", "default_registry", "rule"),
+        "suppressions": ("Suppressions",),
+    },
+)

@@ -6,10 +6,10 @@ files reported by git, intersected with the analysis roots so
 deliberate fallbacks keep the flag safe rather than fast-but-wrong:
 
 * when the effective rule selection includes any *project-scope* rule
-  (RL003, RL011–RL015 need every module to resolve imports, the
-  event-schema registry, and call edges), the run silently covers the
-  full roots — a partial project would under-report, which for a gate
-  is the same as lying;
+  (RL003, RL004 and RL011–RL015 need every module to resolve imports,
+  export tables, the event-schema registry, and call edges), the run
+  silently covers the full roots — a partial project would
+  under-report, which for a gate is the same as lying;
 * when git is unavailable or the tree is not a repository, the run also
   falls back to the full roots, with a note on stderr.
 

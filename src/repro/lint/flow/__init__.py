@@ -15,13 +15,13 @@ Everything here is stdlib-only: the passes parse sources, they never
 import the code under analysis.
 """
 
-from __future__ import annotations
+from ..._exports import lazy_exports
 
-from .callgraph import CallGraph, FunctionInfo, build_callgraph, get_callgraph
-
-__all__ = [
-    "CallGraph",
-    "FunctionInfo",
-    "build_callgraph",
-    "get_callgraph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "callgraph": (
+            "CallGraph", "FunctionInfo", "build_callgraph", "get_callgraph",
+        ),
+    },
+)

@@ -22,7 +22,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..sources import Project, SourceFile
+from ..sources import Project, SourceFile, export_table
 
 __all__ = [
     "CallEdge",
@@ -138,8 +138,9 @@ class CallGraph:
         Tries the longest module prefix first, so ``repro.core.training.
         Trainer.fit`` finds module ``repro.core.training`` and method
         ``Trainer.fit``.  Package ``__init__`` re-exports are followed
-        (``repro.parallel.ParallelMap`` chases ``from .executor import
-        ParallelMap``), bounded to a few hops to stay cycle-safe.
+        (``repro.parallel.ParallelMap`` chases the ``"executor"`` entry
+        of the package's export table, as it would ``from .executor
+        import ParallelMap``), bounded to a few hops to stay cycle-safe.
         """
         if _depth > 4:
             return None
@@ -218,6 +219,14 @@ def _build_table(source: SourceFile) -> ModuleTable:
                 table.imports.setdefault(
                     local, f"{base}.{alias.name}" if base else alias.name
                 )
+    # A package's lazy-export table re-exports exactly as ``from .sub
+    # import name`` (or ``from . import name`` for ``"."``) would.
+    found = export_table(source.tree)
+    if found is not None and found[1] is not None:
+        for sub, names in found[1].items():
+            base = source.module if sub == "." else f"{source.module}.{sub}"
+            for name in names:
+                table.imports.setdefault(name.value, f"{base}.{name.value}")
     for stmt in source.tree.body:
         if isinstance(stmt, _FUNC_NODES):
             key = f"{source.module}:{stmt.name}"

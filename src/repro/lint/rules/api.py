@@ -7,15 +7,23 @@ Both directions are drift:
 * a public top-level ``def``/``class`` missing from ``__all__`` — the
   symbol silently falls out of the star-import/doc surface.
 
-Modules without an ``__all__`` declare no contract and are skipped.
+A package whose ``__init__`` declares its surface with
+``lazy_exports(__name__, {...})`` (:mod:`repro._exports`) is checked
+through that table instead: every entry must name a module of the
+project that binds it (for ``"."``, the ``__init__`` itself or a
+submodule), so a lazy export that would raise on first access is caught
+without importing anything.
+
+Modules without an ``__all__`` or a table declare no contract and are
+skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..sources import SourceFile
+from ..sources import Project, SourceFile, export_table
 from ..registry import rule
 from ..findings import ERROR
 from .common import string_elements
@@ -83,31 +91,83 @@ def _find_all(tree: ast.Module) -> Optional[Tuple[ast.stmt, List[str]]]:
     return None
 
 
-@rule(
-    "RL004",
-    name="public-api-drift",
-    severity=ERROR,
-    description="__all__ names a missing symbol, or a public def/class "
-    "is absent from __all__",
-    rationale="the __init__ re-export surface is the library's contract; "
-    "drift means star imports break or public symbols silently vanish",
-)
-def check_public_api(source: SourceFile) -> Iterator[Tuple[ast.AST, str]]:
-    """RL004: ``__all__`` vs module-body drift."""
-    found = _find_all(source.tree)
-    if found is None:
-        return
-    all_node, exported = found
+def _binds(source: SourceFile) -> Optional[Set[str]]:
+    """Names a module binds at top level, its export table included;
+    ``None`` when a star import leaves the namespace open-ended."""
     bound: Set[str] = set()
-    has_star = _bound_names(source.tree.body, bound)
-    if not has_star:
-        for name in exported:
-            if name not in bound and name not in ("__version__",):
+    if _bound_names(source.tree.body, bound):
+        return None
+    found = export_table(source.tree)
+    if found is not None and found[1] is not None:
+        bound.update(n.value for names in found[1].values() for n in names)
+    return bound
+
+
+def _check_table(
+    source: SourceFile,
+    table: Dict[str, List[ast.Constant]],
+    modules: Dict[str, SourceFile],
+) -> Iterator[Tuple[ast.AST, str]]:
+    """Every table entry names a project module that binds it."""
+    for sub, names in table.items():
+        if sub == ".":
+            # The package itself: what its __init__ binds, or a submodule.
+            where = source.module
+            bound: Optional[Set[str]] = set()
+            if _bound_names(source.tree.body, bound):
+                continue
+            bound.update(
+                module.rpartition(".")[2]
+                for module in modules
+                if module.rpartition(".")[0] == where
+            )
+        else:
+            where = f"{source.module}.{sub}"
+            if where not in modules:
+                for node in names:
+                    yield (
+                        node,
+                        f"export table takes {node.value!r} from {where}, "
+                        "which is not in the project",
+                    )
+                continue
+            bound = _binds(modules[where])
+            if bound is None:
+                continue
+        for node in names:
+            if node.value not in bound:
                 yield (
-                    all_node,
-                    f"__all__ exports {name!r} but the module never "
-                    "binds it",
+                    node,
+                    f"export table takes {node.value!r} from {where}, "
+                    "which never binds it",
                 )
+
+
+def _check_module(
+    source: SourceFile, modules: Dict[str, SourceFile]
+) -> Iterator[Tuple[ast.AST, str]]:
+    found_table = export_table(source.tree)
+    if found_table is not None:
+        call, table = found_table
+        if table is None:
+            yield call, "lazy_exports table is not a literal dict of string tuples"
+            return
+        yield from _check_table(source, table, modules)
+        exported = [n.value for names in table.values() for n in names]
+    else:
+        found = _find_all(source.tree)
+        if found is None:
+            return
+        all_node, exported = found
+        bound = _binds(source)
+        if bound is not None:
+            for name in exported:
+                if name not in bound and name not in ("__version__",):
+                    yield (
+                        all_node,
+                        f"__all__ exports {name!r} but the module never "
+                        "binds it",
+                    )
     exported_set = set(exported)
     for node in source.tree.body:
         if not isinstance(
@@ -122,3 +182,22 @@ def check_public_api(source: SourceFile) -> Iterator[Tuple[ast.AST, str]]:
                 node,
                 f"public {kind} {node.name!r} missing from __all__",
             )
+
+
+@rule(
+    "RL004",
+    name="public-api-drift",
+    severity=ERROR,
+    scope="project",
+    description="__all__ or a package's export table names a missing "
+    "symbol, or a public def/class is absent from __all__",
+    rationale="the __init__ re-export surface is the library's contract; "
+    "drift means star imports break or public symbols silently vanish",
+)
+def check_public_api(
+    project: Project,
+) -> Iterator[Tuple[SourceFile, ast.AST, str]]:
+    """RL004: ``__all__`` (or export table) vs module-body drift."""
+    for source in project.sources:
+        for anchor, message in _check_module(source, project.by_module):
+            yield source, anchor, message

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["Anchor", "SourceFile", "Project", "module_name"]
+__all__ = ["Anchor", "SourceFile", "Project", "export_table", "module_name"]
 
 #: Anchor accepted from rules: an AST node or a 1-based line number.
 Anchor = Union[ast.AST, int]
@@ -26,6 +26,46 @@ def module_name(relpath: str) -> str:
     elif parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]
     return ".".join(p for p in parts if p)
+
+
+def export_table(
+    tree: ast.Module,
+) -> Optional[Tuple[ast.Call, Optional[Dict[str, List[ast.Constant]]]]]:
+    """The ``lazy_exports(__name__, {...})`` call of a package ``__init__``
+    and its table: submodule (``"."`` for the package itself) to the
+    string constants naming its exports.
+
+    Returns ``None`` when the module has no such module-level call, and
+    ``(call, None)`` when its table is not a literal ``dict`` of string
+    tuples (nothing can then be checked or followed statically).
+    """
+    for node in tree.body:
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+            continue
+        call = node.value
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name != "lazy_exports":
+            continue
+        literal = call.args[1] if len(call.args) > 1 else None
+        if not isinstance(literal, ast.Dict):
+            return call, None
+        table: Dict[str, List[ast.Constant]] = {}
+        for key, value in zip(literal.keys, literal.values):
+            names = value.elts if isinstance(value, (ast.Tuple, ast.List)) else None
+            if not (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and names is not None
+                and all(
+                    isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    for n in names
+                )
+            ):
+                return call, None
+            table[key.value] = list(names)
+        return call, table
+    return None
 
 
 @dataclass

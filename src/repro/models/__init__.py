@@ -1,30 +1,15 @@
 """Model zoo: CIFAR ResNets plus small reference networks."""
 
-from .registry import MODEL_REGISTRY, build_model, register_model
-from .resnet import (
-    BasicBlock,
-    ResNet,
-    resnet8,
-    resnet14,
-    resnet20,
-    resnet32,
-    resnet44,
-    resnet56,
-)
-from .simple import MLP, SimpleCNN
+from .._exports import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "ResNet",
-    "resnet8",
-    "resnet14",
-    "resnet20",
-    "resnet32",
-    "resnet44",
-    "resnet56",
-    "MLP",
-    "SimpleCNN",
-    "MODEL_REGISTRY",
-    "build_model",
-    "register_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "registry": ("MODEL_REGISTRY", "build_model", "register_model"),
+        "resnet": (
+            "BasicBlock", "ResNet", "resnet8", "resnet14", "resnet20",
+            "resnet32", "resnet44", "resnet56",
+        ),
+        "simple": ("MLP", "SimpleCNN"),
+    },
+)

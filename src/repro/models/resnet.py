@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
+from ..nn import Sequential
 from ..seeding import resolve_rng
 
 __all__ = [
@@ -55,7 +56,7 @@ class BasicBlock(nn.Module):
         )
         self.bn2 = nn.BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
-            self.shortcut: nn.Module = nn.Sequential(
+            self.shortcut: nn.Module = Sequential(
                 nn.Conv2d(
                     in_channels, out_channels, 1, stride=stride, bias=False, rng=rng
                 ),
@@ -115,7 +116,7 @@ class ResNet(nn.Module):
         self.num_classes = num_classes
 
         widths = (base_width, base_width * 2, base_width * 4)
-        self.stem = nn.Sequential(
+        self.stem = Sequential(
             nn.Conv2d(in_channels, widths[0], 3, padding=1, bias=False, rng=rng),
             nn.BatchNorm2d(widths[0]),
             nn.ReLU(),
@@ -127,8 +128,8 @@ class ResNet(nn.Module):
                 stride = 2 if stage_index > 0 and block_index == 0 else 1
                 stages.append(BasicBlock(in_width, width, stride=stride, rng=rng))
                 in_width = width
-        self.stages = nn.Sequential(*stages)
-        self.head = nn.Sequential(nn.GlobalAvgPool2d())
+        self.stages = Sequential(*stages)
+        self.head = Sequential(nn.GlobalAvgPool2d())
         self.fc = nn.Linear(widths[2], num_classes, rng=rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..nn import Sequential
 from ..seeding import resolve_rng
 
 __all__ = ["MLP", "SimpleCNN"]
@@ -46,7 +47,7 @@ class MLP(nn.Module):
             layers.append(nn.ReLU())
             width = h
         layers.append(nn.Linear(width, num_classes, rng=rng))
-        self.net = nn.Sequential(*layers)
+        self.net = Sequential(*layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
@@ -74,7 +75,7 @@ class SimpleCNN(nn.Module):
         if image_size % 4 != 0:
             raise ValueError("image_size must be divisible by 4")
         rng = resolve_rng(rng)
-        self.features = nn.Sequential(
+        self.features = Sequential(
             nn.Conv2d(in_channels, width, 3, padding=1, bias=False, rng=rng),
             nn.BatchNorm2d(width),
             nn.ReLU(),

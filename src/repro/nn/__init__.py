@@ -7,76 +7,33 @@ schedules and losses — everything needed to train the CIFAR-style ResNets
 the paper evaluates.
 """
 
-from .activations import Dropout, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
-from .container import Residual, Sequential
-from .conv import Conv2d
-from .cost import (
-    LayerCost,
-    ModelCost,
-    capture_shapes,
-    crossbar_footprint,
-    model_cost,
-)
-from .linear import Linear
-from .loss import CrossEntropyLoss, MSELoss
-from .lr_scheduler import (
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-    WarmupLR,
-)
-from .module import Module, Parameter, RemovableHandle, no_grad
-from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
-from .serialization import (
-    load_checkpoint,
-    save_checkpoint,
-    state_dict_from_bytes,
-    state_dict_to_bytes,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Module",
-    "Parameter",
-    "RemovableHandle",
-    "no_grad",
-    "Sequential",
-    "Residual",
-    "Conv2d",
-    "Linear",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "GroupNorm",
-    "clip_grad_norm",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Identity",
-    "Dropout",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "Flatten",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "LRScheduler",
-    "CosineAnnealingLR",
-    "StepLR",
-    "MultiStepLR",
-    "WarmupLR",
-    "save_checkpoint",
-    "load_checkpoint",
-    "state_dict_to_bytes",
-    "state_dict_from_bytes",
-    "LayerCost",
-    "ModelCost",
-    "capture_shapes",
-    "model_cost",
-    "crossbar_footprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "activations": (
+            "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity", "Dropout",
+        ),
+        "container": ("Sequential", "Residual"),
+        "conv": ("Conv2d",),
+        "cost": (
+            "LayerCost", "ModelCost", "capture_shapes", "model_cost",
+            "crossbar_footprint",
+        ),
+        "linear": ("Linear",),
+        "loss": ("CrossEntropyLoss", "MSELoss"),
+        "lr_scheduler": (
+            "LRScheduler", "CosineAnnealingLR", "StepLR", "MultiStepLR",
+            "WarmupLR",
+        ),
+        "module": ("Module", "Parameter", "RemovableHandle", "no_grad"),
+        "norm": ("BatchNorm1d", "BatchNorm2d", "GroupNorm"),
+        "optim": ("clip_grad_norm", "Optimizer", "SGD", "Adam"),
+        "pooling": ("MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten"),
+        "serialization": (
+            "save_checkpoint", "load_checkpoint", "state_dict_to_bytes",
+            "state_dict_from_bytes",
+        ),
+    },
+)

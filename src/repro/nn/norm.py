@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import Module, Parameter
+from .module import Module, Parameter, _grad_enabled
 
 __all__ = ["BatchNorm2d", "BatchNorm1d", "GroupNorm"]
 
@@ -65,7 +65,11 @@ class _BatchNorm(Module):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std.reshape(shape)
-        self._saved = (x_hat, inv_std, axes, shape)
+        if _grad_enabled.get():
+            self._saved = (x_hat, inv_std, axes, shape)
+        elif out is None:
+            # No backward follows: the output overwrites x_hat's buffer.
+            out = x_hat
         out = np.multiply(self.gamma.data.reshape(shape), x_hat, out=out)
         out += self.beta.data.reshape(shape)
         return out

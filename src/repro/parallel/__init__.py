@@ -24,9 +24,7 @@ Quick use::
     )
 """
 
-from .broadcast import Broadcast, ModelBroadcast
-from .config import WORKERS_ENV, default_chunk_size, resolve_workers
-from .executor import ParallelExecutionError, ParallelMap, TaskFailure
+from .._exports import lazy_exports
 
 #: Declared worker-submission sites for ``repro.lint`` rule RL014:
 #: ``"Class.method"`` -> positional index of the callable that crosses
@@ -37,14 +35,12 @@ LINT_SUBMISSION_SITES = {
     "ParallelMap.map": 0,
 }
 
-__all__ = [
-    "Broadcast",
-    "ModelBroadcast",
-    "ParallelMap",
-    "ParallelExecutionError",
-    "TaskFailure",
-    "LINT_SUBMISSION_SITES",
-    "WORKERS_ENV",
-    "resolve_workers",
-    "default_chunk_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".": ("LINT_SUBMISSION_SITES",),
+        "broadcast": ("Broadcast", "ModelBroadcast"),
+        "config": ("WORKERS_ENV", "resolve_workers", "default_chunk_size"),
+        "executor": ("ParallelMap", "ParallelExecutionError", "TaskFailure"),
+    },
+)

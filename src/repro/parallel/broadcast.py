@@ -96,6 +96,7 @@ class Broadcast:
         self.__dict__.update(state)
 
     def materialize(self) -> Dict[str, Any]:
+        """The context dict, model broadcasts materialized once and cached."""
         if self._materialized is None:
             self._materialized = {
                 key: value.materialize()

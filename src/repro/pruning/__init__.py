@@ -1,36 +1,19 @@
 """Weight pruning: one-shot magnitude, ADMM-based, and structured."""
 
-from .admm import ADMMConfig, ADMMPruner, project_sparse
-from .magnitude import finetune_pruned, magnitude_prune
-from .masks import (
-    apply_masks,
-    magnitude_mask,
-    model_sparsity,
-    prunable_parameters,
-    sparsity,
-)
-from .structured import (
-    channel_norms,
-    channel_prune,
-    channel_sparsity,
-    column_savings,
-    finetune_channel_pruned,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "magnitude_prune",
-    "finetune_pruned",
-    "ADMMConfig",
-    "ADMMPruner",
-    "project_sparse",
-    "magnitude_mask",
-    "apply_masks",
-    "sparsity",
-    "model_sparsity",
-    "prunable_parameters",
-    "channel_prune",
-    "channel_norms",
-    "channel_sparsity",
-    "column_savings",
-    "finetune_channel_pruned",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "admm": ("ADMMConfig", "ADMMPruner", "project_sparse"),
+        "magnitude": ("magnitude_prune", "finetune_pruned"),
+        "masks": (
+            "magnitude_mask", "apply_masks", "sparsity", "model_sparsity",
+            "prunable_parameters",
+        ),
+        "structured": (
+            "channel_prune", "channel_norms", "channel_sparsity",
+            "column_savings", "finetune_channel_pruned",
+        ),
+    },
+)

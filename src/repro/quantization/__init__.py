@@ -1,14 +1,14 @@
 """Quantisation for crossbar deployment: PTQ, QAT and the combined
 quantise-then-fault weight transform."""
 
-from .qat import (
-    QuantizationAwareTrainer,
-    QuantizedFaultModel,
-    quantize_model_weights,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "quantize_model_weights",
-    "QuantizationAwareTrainer",
-    "QuantizedFaultModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "qat": (
+            "quantize_model_weights", "QuantizationAwareTrainer",
+            "QuantizedFaultModel",
+        ),
+    },
+)

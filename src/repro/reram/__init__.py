@@ -1,50 +1,23 @@
 """ReRAM crossbar substrate: devices, arrays, mapping, stuck-at faults."""
 
-from .adc import ADCModel, BitSerialMVM
-from .bitslice import BitSlicedMapper, BitSlicedMatrix
-from .crossbar import CrossbarArray
-from .deploy import DeployedModel, crossbar_parameters, deploy_weights
-from .device import ReRAMDeviceModel
-from .layers import AnalogConv2d, AnalogLinear, convert_to_analog
-from .faults import (
-    FAULT_NONE,
-    FAULT_SA0,
-    FAULT_SA1,
-    SA0_SA1_RATIO,
-    FaultStats,
-    StuckAtFaultSpec,
-    WeightSpaceFaultModel,
-    sample_fault_map,
-)
-from .mapper import CrossbarMapper, MappedMatrix
-from .noise import ConductanceDriftModel, ProgrammingVariationModel
-from .quantize import UniformQuantizer, quantize_symmetric
+from .._exports import lazy_exports
 
-__all__ = [
-    "ReRAMDeviceModel",
-    "CrossbarArray",
-    "CrossbarMapper",
-    "MappedMatrix",
-    "DeployedModel",
-    "deploy_weights",
-    "crossbar_parameters",
-    "UniformQuantizer",
-    "quantize_symmetric",
-    "FAULT_NONE",
-    "FAULT_SA0",
-    "FAULT_SA1",
-    "SA0_SA1_RATIO",
-    "FaultStats",
-    "StuckAtFaultSpec",
-    "WeightSpaceFaultModel",
-    "sample_fault_map",
-    "ProgrammingVariationModel",
-    "ConductanceDriftModel",
-    "ADCModel",
-    "BitSerialMVM",
-    "BitSlicedMapper",
-    "BitSlicedMatrix",
-    "AnalogLinear",
-    "AnalogConv2d",
-    "convert_to_analog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adc": ("ADCModel", "BitSerialMVM"),
+        "bitslice": ("BitSlicedMapper", "BitSlicedMatrix"),
+        "crossbar": ("CrossbarArray",),
+        "deploy": ("DeployedModel", "deploy_weights", "crossbar_parameters"),
+        "device": ("ReRAMDeviceModel",),
+        "layers": ("AnalogLinear", "AnalogConv2d", "convert_to_analog"),
+        "faults": (
+            "FAULT_NONE", "FAULT_SA0", "FAULT_SA1", "SA0_SA1_RATIO",
+            "FaultStats", "StuckAtFaultSpec", "WeightSpaceFaultModel",
+            "sample_fault_map",
+        ),
+        "mapper": ("CrossbarMapper", "MappedMatrix"),
+        "noise": ("ProgrammingVariationModel", "ConductanceDriftModel"),
+        "quantize": ("UniformQuantizer", "quantize_symmetric"),
+    },
+)

@@ -21,61 +21,28 @@ Entry points: :func:`run_sweep` from code, ``python -m repro.sweep``
 from the shell (``check`` / ``run`` / ``status`` / ``report``).
 """
 
-from .execute import (
-    ExecutionOutcome,
-    SweepOutcome,
-    execute_plan,
-    run_cell_task,
-    run_sweep,
-)
-from .plan import SweepCell, SweepPlan, cell_digest, expand_plan
-from .report import (
-    build_leaderboard,
-    emit_sweep_report,
-    render_leaderboard,
-    write_leaderboard,
-)
-from .resume import completed_cells, load_cell_result, split_pending
-from .spec import (
-    OPTIONAL_AXES,
-    PROFILES,
-    REQUIRED_AXES,
-    VARIANTS,
-    SweepSpec,
-)
-from .validate import (
-    SpecProblem,
-    SweepValidationError,
-    build_spec,
-    load_spec,
-    validate_spec,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "PROFILES",
-    "VARIANTS",
-    "REQUIRED_AXES",
-    "OPTIONAL_AXES",
-    "SweepSpec",
-    "load_spec",
-    "SpecProblem",
-    "SweepValidationError",
-    "validate_spec",
-    "build_spec",
-    "SweepCell",
-    "SweepPlan",
-    "cell_digest",
-    "expand_plan",
-    "completed_cells",
-    "load_cell_result",
-    "split_pending",
-    "run_cell_task",
-    "execute_plan",
-    "ExecutionOutcome",
-    "run_sweep",
-    "SweepOutcome",
-    "build_leaderboard",
-    "render_leaderboard",
-    "write_leaderboard",
-    "emit_sweep_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "execute": (
+            "run_cell_task", "execute_plan", "ExecutionOutcome", "run_sweep",
+            "SweepOutcome",
+        ),
+        "plan": ("SweepCell", "SweepPlan", "cell_digest", "expand_plan"),
+        "report": (
+            "build_leaderboard", "render_leaderboard", "write_leaderboard",
+            "emit_sweep_report",
+        ),
+        "resume": ("completed_cells", "load_cell_result", "split_pending"),
+        "spec": (
+            "PROFILES", "VARIANTS", "REQUIRED_AXES", "OPTIONAL_AXES",
+            "SweepSpec",
+        ),
+        "validate": (
+            "load_spec", "SpecProblem", "SweepValidationError",
+            "validate_spec", "build_spec",
+        ),
+    },
+)

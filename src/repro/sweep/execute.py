@@ -27,7 +27,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .. import telemetry
+from ..experiments.config import ExperimentScale
+from ..experiments.runner import run_pipeline_cell
 from ..parallel import ParallelMap
+
+# A cell may prune and quantize, and its directory-backed session reads
+# git provenance and exports a trace on close.  Those deferred imports
+# load here, so the pool workers forked per pass inherit them instead of
+# importing them once per worker.
+from ..bench import provenance as _provenance  # noqa: F401
+from ..pruning import magnitude as _magnitude  # noqa: F401
+from ..quantization import qat as _qat  # noqa: F401
+from ..telemetry import trace as _trace  # noqa: F401
 from .plan import SweepPlan, expand_plan
 from .report import (
     build_leaderboard,
@@ -69,9 +80,6 @@ def run_cell_task(task: Dict[str, Any], context: Dict[str, Any]) -> dict:
     determinism contract forbids shared mutable state).  Returns the
     ``cell.json`` result document it wrote.
     """
-    from ..experiments.config import ExperimentScale
-    from ..experiments.runner import run_pipeline_cell
-
     point = task["point"]
     scale = ExperimentScale(**task["scale"])
     with telemetry.session(

@@ -34,120 +34,44 @@ repro.telemetry validate``.  A finished run is inspected with ``python
 -m repro.experiments summary``.
 """
 
-from .events import (
-    EventLog,
-    EventSink,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    new_run_id,
-    read_events,
-    read_events_with_errors,
-)
-from .ledger import (
-    RunRecord,
-    build_index,
-    diff_runs,
-    load_index,
-    runs_by_config,
-    scan_runs,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .monitor import ResourceMonitor, sample_resources
-from .profiling import (
-    DEFAULT_PROFILE_INTERVAL,
-    StackAggregate,
-    StackProfiler,
-    StackSampler,
-    build_speedscope,
-    function_totals,
-    merge_profile_events,
-    render_collapsed,
-    render_flamegraph_svg,
-    validate_speedscope,
-)
-from .progress import ProgressTracker
-from .scheduling import DeadlineScheduler
-from .run import (
-    NULL_RUN,
-    TelemetryLogHandler,
-    TelemetryRun,
-    current,
-    detach_run,
-    end_run,
-    session,
-    start_run,
-)
-from .report import build_report, render_report, write_report
-from .schema import (
-    EVENT_SCHEMAS,
-    fields_for,
-    known_kinds,
-    validate_event,
-    validate_events,
-)
-from .summary import find_run_dir, render_summary, summarize_run
-from .timing import ModuleProfiler, SpanTracker, Stopwatch, named_modules
-from .trace import build_trace, export_run_trace, validate_trace, write_trace
+from .._exports import lazy_exports
 
-__all__ = [
-    "EventLog",
-    "EventSink",
-    "NullSink",
-    "MemorySink",
-    "JsonlSink",
-    "new_run_id",
-    "read_events",
-    "read_events_with_errors",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ResourceMonitor",
-    "sample_resources",
-    "DeadlineScheduler",
-    "DEFAULT_PROFILE_INTERVAL",
-    "StackAggregate",
-    "StackSampler",
-    "StackProfiler",
-    "merge_profile_events",
-    "function_totals",
-    "render_collapsed",
-    "build_speedscope",
-    "validate_speedscope",
-    "render_flamegraph_svg",
-    "ProgressTracker",
-    "Stopwatch",
-    "SpanTracker",
-    "ModuleProfiler",
-    "named_modules",
-    "TelemetryRun",
-    "TelemetryLogHandler",
-    "NULL_RUN",
-    "current",
-    "start_run",
-    "end_run",
-    "detach_run",
-    "session",
-    "find_run_dir",
-    "summarize_run",
-    "render_summary",
-    "build_report",
-    "render_report",
-    "write_report",
-    "build_trace",
-    "write_trace",
-    "export_run_trace",
-    "validate_trace",
-    "EVENT_SCHEMAS",
-    "known_kinds",
-    "fields_for",
-    "validate_event",
-    "validate_events",
-    "RunRecord",
-    "scan_runs",
-    "build_index",
-    "runs_by_config",
-    "load_index",
-    "diff_runs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "EventLog", "EventSink", "NullSink", "MemorySink", "JsonlSink",
+            "new_run_id", "read_events", "read_events_with_errors",
+        ),
+        "ledger": (
+            "RunRecord", "scan_runs", "build_index", "runs_by_config",
+            "load_index", "diff_runs",
+        ),
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "monitor": ("ResourceMonitor", "sample_resources"),
+        "profiling": (
+            "DEFAULT_PROFILE_INTERVAL", "StackAggregate", "StackSampler",
+            "StackProfiler", "merge_profile_events", "function_totals",
+            "render_collapsed", "build_speedscope", "validate_speedscope",
+            "render_flamegraph_svg",
+        ),
+        "progress": ("ProgressTracker",),
+        "scheduling": ("DeadlineScheduler",),
+        "run": (
+            "TelemetryRun", "TelemetryLogHandler", "NULL_RUN", "current",
+            "start_run", "end_run", "detach_run", "session",
+        ),
+        "report": ("build_report", "render_report", "write_report"),
+        "schema": (
+            "EVENT_SCHEMAS", "known_kinds", "fields_for", "validate_event",
+            "validate_events",
+        ),
+        "summary": ("find_run_dir", "summarize_run", "render_summary"),
+        "timing": (
+            "Stopwatch", "SpanTracker", "ModuleProfiler", "named_modules",
+        ),
+        "trace": (
+            "build_trace", "write_trace", "export_run_trace", "validate_trace",
+        ),
+    },
+)

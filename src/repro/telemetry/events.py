@@ -52,13 +52,14 @@ class EventSink:
     """Interface: somewhere events go."""
 
     def write(self, event: dict) -> None:
+        """Deliver one stamped event."""
         raise NotImplementedError
 
     def flush(self) -> None:  # pragma: no cover - trivial default
-        pass
+        """Push buffered events to their destination."""
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        pass
+        """Release the destination."""
 
 
 class NullSink(EventSink):
@@ -159,9 +160,11 @@ class EventLog:
         return event
 
     def flush(self) -> None:
+        """Flush the sink."""
         self.sink.flush()
 
     def close(self) -> None:
+        """Close the sink."""
         self.sink.close()
 
 

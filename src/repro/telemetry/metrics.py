@@ -46,6 +46,7 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
+        """Add a non-negative whole-number ``amount``."""
         # Coerce index-like amounts (numpy ints) and integral floats so
         # `value` stays an exact int; anything fractional is a bug at the
         # call-site, not something to accumulate silently.
@@ -79,6 +80,7 @@ class Gauge:
         self.value: Optional[float] = None
 
     def set(self, value: float) -> None:
+        """Record ``value`` as the current reading."""
         self.value = float(value)
 
 
@@ -123,6 +125,7 @@ class Histogram:
         self._rng: Optional[np.random.Generator] = None
 
     def observe(self, value: float) -> None:
+        """Add one sample to the distribution."""
         self._ingest(float(value))
 
     def _ingest(self, value: float) -> None:
@@ -288,6 +291,7 @@ class MetricsRegistry:
         return table[name]
 
     def counter(self, name: str) -> Counter:
+        """The counter ``name``, created on first use."""
         if not self.enabled:
             return _NULL_COUNTER
         return self._get(
@@ -295,6 +299,7 @@ class MetricsRegistry:
         )
 
     def gauge(self, name: str) -> Gauge:
+        """The gauge ``name``, created on first use."""
         if not self.enabled:
             return _NULL_GAUGE
         return self._get(
@@ -302,6 +307,7 @@ class MetricsRegistry:
         )
 
     def histogram(self, name: str) -> Histogram:
+        """The histogram ``name``, created on first use."""
         if not self.enabled:
             return _NULL_HISTOGRAM
         return self._get(

@@ -116,11 +116,13 @@ class StackAggregate:
         return sum(self.counts.values())
 
     def add(self, stack: Tuple[str, ...], count: int = 1) -> None:
+        """Count ``count`` samples of ``stack`` (root first)."""
         if not stack or count <= 0:
             return
         self.counts[stack] = self.counts.get(stack, 0) + count
 
     def merge(self, other: "StackAggregate") -> "StackAggregate":
+        """Add every count of ``other`` into this aggregate."""
         for stack, count in other.counts.items():
             self.add(stack, count)
         return self
@@ -260,6 +262,7 @@ class StackProfiler:
         return self._sampler is not None
 
     def start(self) -> "StackProfiler":
+        """Start sampling the calling thread, if the run is enabled."""
         if self._sampler is not None:
             return self
         if self._run is None:

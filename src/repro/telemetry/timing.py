@@ -48,6 +48,7 @@ class Stopwatch:
         return self._accumulated + live
 
     def start(self) -> "Stopwatch":
+        """Start timing; raises if already running."""
         if self.running:
             raise RuntimeError("stopwatch already running")
         self._started_at = time.perf_counter()
@@ -62,6 +63,7 @@ class Stopwatch:
         return self._accumulated
 
     def reset(self) -> None:
+        """Zero the accumulated time and stop."""
         self._accumulated = 0.0
         self._started_at = None
 

@@ -514,3 +514,38 @@ def test_registry_covers_every_emit_site():
 def test_repo_is_clean_under_flow_rules():
     findings = lint_paths([SRC_ROOT], select=FLOW_RULES)
     assert findings == [], [f.to_dict() for f in findings]
+
+
+# -- the call graph follows lazy package exports -------------------------------
+
+
+def test_callgraph_resolves_through_a_lazy_export_table():
+    """``pkg.run`` and a caller's ``from pkg import run`` both reach the
+    submodule's def through the package's ``lazy_exports`` table, two
+    packages deep, as they would through ``from .core import run``."""
+    from repro.lint.flow.callgraph import build_callgraph
+
+    def init(module, table):
+        return SourceFile.from_text(
+            "from ._exports import lazy_exports\n"
+            f"__getattr__, __dir__, __all__ = lazy_exports(__name__, {table})\n",
+            path=module.replace(".", "/") + "/__init__.py",
+            module=module,
+            is_package=True,
+        )
+
+    project = Project(
+        [
+            init("pkg", '{"inner": ("run",)}'),
+            init("pkg.inner", '{"core": ("run",)}'),
+            source("def run():\n    return 1\n", "pkg/inner/core.py", "pkg.inner.core"),
+            source(
+                "from pkg import run\n\ndef main():\n    return run()\n",
+                "app.py",
+                "app",
+            ),
+        ]
+    )
+    graph = build_callgraph(project)
+    assert graph.resolve_qualified("pkg.run") == "pkg.inner.core:run"
+    assert [e.callee for e in graph.callees["app:main"]] == ["pkg.inner.core:run"]

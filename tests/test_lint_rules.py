@@ -240,6 +240,53 @@ def test_rl004_skips_modules_without_all():
     assert not findings
 
 
+def _lazy_package(table):
+    """A fixture package whose ``__init__`` declares ``table`` with
+    ``lazy_exports``, plus a ``core`` module and a ``sub`` module."""
+    init = (
+        "from ._exports import lazy_exports\n\n"
+        "VERSION = 1\n"
+        f"__getattr__, __dir__, __all__ = lazy_exports(__name__, {table})\n"
+    )
+    return Project(
+        [
+            SourceFile.from_text(
+                init, path="pkg/__init__.py", module="pkg", is_package=True
+            ),
+            SourceFile.from_text(
+                "def run():\n    return 1\n", path="pkg/core.py", module="pkg.core"
+            ),
+            SourceFile.from_text("", path="pkg/sub.py", module="pkg.sub"),
+        ]
+    )
+
+
+def test_rl004_accepts_consistent_export_table():
+    project = _lazy_package('{".": ("sub", "VERSION"), "core": ("run",)}')
+    assert not lint_sources(project, select=["RL004"])
+
+
+@pytest.mark.parametrize(
+    "table, ghost",
+    [
+        ('{"core": ("run", "ghost")}', "'ghost' from pkg.core"),
+        ('{".": ("sub", "nowhere")}', "'nowhere'"),
+        ('{"missing": ("run",)}', "pkg.missing, which is not in the project"),
+    ],
+    ids=["unbound-name", "unbound-own-name", "missing-module"],
+)
+def test_rl004_flags_export_table_entry_its_module_does_not_bind(table, ghost):
+    findings = lint_sources(_lazy_package(table), select=["RL004"])
+    assert [f.path for f in findings] == ["pkg/__init__.py"]
+    assert ghost in findings[0].message
+
+
+def test_rl004_rejects_a_computed_export_table():
+    project = _lazy_package("dict(core=(\"run\",))")
+    findings = lint_sources(project, select=["RL004"])
+    assert len(findings) == 1 and "not a literal" in findings[0].message
+
+
 # -- RL005 mutable-default --------------------------------------------------
 
 

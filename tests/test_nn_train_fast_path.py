@@ -10,6 +10,7 @@ come in NCHW memory, in NHWC memory (as a conv output is) and as a padded
 slice.  CI also runs this file with ``OPENBLAS_NUM_THREADS=1``.
 """
 
+import contextlib
 import copy
 import hashlib
 
@@ -201,6 +202,28 @@ def test_batchnorm2d_matches_reference(x_layout, grad_layout, training):
     x = _layouts(rng.normal(2.0, 3.0, size=(50, 16, 12, 12)))[x_layout]
     grad = _layouts(rng.normal(size=(50, 16, 12, 12)))[grad_layout]
     _train_step_both(fast, ref, x, grad)
+
+
+@pytest.mark.parametrize("grad_enabled", [True, False], ids=["grad", "no_grad"])
+@pytest.mark.parametrize("x_layout", ["nchw", "nhwc"])
+def test_batchnorm2d_eval_forward_matches_reference(x_layout, grad_enabled):
+    """Under ``no_grad`` the eval forward chains into x_hat's one buffer;
+    with grad enabled it still saves x_hat for backward.  Both give the
+    reference's bits in the reference's layout and leave x unwritten."""
+    rng = np.random.default_rng(5)
+    fast, ref = _pair(nn.BatchNorm2d(16), rng)
+    fast.eval()
+    ref.eval()
+    x = _layouts(rng.normal(2.0, 3.0, size=(50, 16, 12, 12)))[x_layout]
+    x_before = x.copy()
+    with contextlib.nullcontext() if grad_enabled else nn.no_grad():
+        out, want = fast(x), ref(x)
+    _assert_same_bits(out, want)
+    assert out.strides == want.strides
+    _assert_same_bits(x, x_before)
+    if grad_enabled:
+        grad = rng.normal(size=x.shape)
+        _assert_same_bits(fast.backward(grad), ref.backward(grad))
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
