@@ -171,6 +171,25 @@ def test_memory_sink_session_collects_events():
     assert kinds == ["run_start", "heartbeat", "run_end"]
 
 
+def test_only_a_run_directory_reads_git_provenance(tmp_path, monkeypatch):
+    """``run.json`` is the one reader of the git sha: an in-memory session
+    (each captured pool chunk runs one) starts no ``git`` subprocess."""
+    from repro.bench import provenance
+
+    calls = []
+    monkeypatch.setattr(provenance, "git_sha", lambda: calls.append(1) or "f" * 40)
+    sink = MemorySink()
+    with telemetry.session(sink=sink):
+        pass
+    assert calls == []
+    assert sink.events[-1]["duration_seconds"] >= 0.0
+    with telemetry.session(str(tmp_path)) as run:
+        pass
+    assert calls == [1]
+    with open(os.path.join(run.directory, "run.json")) as handle:
+        assert json.load(handle)["provenance"]["git_sha"] == "f" * 40
+
+
 @pytest.mark.parametrize(
     "sink", [MemorySink(), NullSink()], ids=["enabled", "disabled"]
 )
