@@ -19,10 +19,15 @@ Quick taste::
 import logging as _logging
 
 from ._exports import lazy_exports
+from ._heap import keep_heap_mapped as _keep_heap_mapped
 
 # Library convention: emit through the "repro" logger, let applications
 # (e.g. the experiments CLI) decide where it goes.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
+
+# One allocator policy for the process: a training step's freed buffers
+# stay mapped for the next step instead of being trimmed and faulted back.
+_keep_heap_mapped()
 
 __version__ = "1.0.0"
 

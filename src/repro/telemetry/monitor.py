@@ -5,14 +5,16 @@ is slowly leaking memory, exhausting file descriptors, or burning CPU in
 the wrong place looks exactly like a healthy one until it dies.  The
 :class:`ResourceMonitor` closes that gap with a daemon sampling thread
 that periodically records a ``resource_sample`` event — RSS, CPU time,
-open file descriptors, tracemalloc current/peak — into the current
-telemetry run, and feeds the same numbers into registry instruments so
-the run's ``metrics.json`` carries the memory profile:
+minor page faults, open file descriptors, tracemalloc current/peak —
+into the current telemetry run, and feeds the same numbers into registry
+instruments so the run's ``metrics.json`` carries the memory profile:
 
 * ``resource/rss_bytes`` (histogram) — resident set size over time;
 * ``resource/num_fds`` (histogram) — open descriptors over time;
 * ``resource/cpu_seconds`` (gauge) — cumulative user+system CPU time;
 * ``resource/max_rss_bytes`` (gauge) — peak RSS observed so far;
+* ``resource/minor_faults`` (gauge) — cumulative minor page faults, so
+  allocator churn (memory returned and faulted back) shows;
 * ``resource/samples_total`` (counter) — how many samples were taken.
 
 A monitor is started in the parent by ``telemetry.session(...,
@@ -47,13 +49,17 @@ DEFAULT_INTERVAL = 0.5
 _MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
 
-def _rss_bytes() -> Optional[int]:
-    """Current resident set size, preferring ``/proc/self/status``.
+def _rusage():
+    """This process's ``resource.getrusage``, or ``None`` off POSIX."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platform
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF)
 
-    Falls back to ``resource.getrusage`` peak RSS (the closest portable
-    number) when ``/proc`` is unavailable; ``None`` when neither source
-    works.
-    """
+
+def _rss_bytes() -> Optional[int]:
+    """Current resident set size from ``/proc/self/status``, if readable."""
     try:
         with open("/proc/self/status") as handle:
             for line in handle:
@@ -61,22 +67,7 @@ def _rss_bytes() -> Optional[int]:
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_UNIT
-    except Exception:  # pragma: no cover - non-POSIX platform
-        return None
-
-
-def _max_rss_bytes() -> Optional[int]:
-    """Peak resident set size of this process, if the platform reports it."""
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_UNIT
-    except Exception:  # pragma: no cover - non-POSIX platform
-        return None
+    return None
 
 
 def _num_fds() -> Optional[int]:
@@ -95,15 +86,21 @@ def sample_resources() -> dict:
     """One point-in-time resource snapshot of this process.
 
     Returns a JSON-friendly dict with ``rss_bytes``, ``max_rss_bytes``,
-    ``cpu_seconds``, ``num_fds`` and — when :mod:`tracemalloc` is
-    tracing — ``tracemalloc_current``/``tracemalloc_peak``.  Fields a
-    platform cannot report are ``None`` rather than absent, so readers
-    see a stable schema.
+    ``cpu_seconds``, ``minor_faults`` (cumulative minor page faults,
+    ``ru_minflt``), ``num_fds`` and — when :mod:`tracemalloc` is
+    tracing — ``tracemalloc_current``/``tracemalloc_peak``.  Without
+    ``/proc``, ``rss_bytes`` falls back to the peak RSS, the closest
+    portable number.  Fields a platform cannot report are ``None``
+    rather than absent, so readers see a stable schema.
     """
+    usage = _rusage()
+    peak = None if usage is None else usage.ru_maxrss * _MAXRSS_UNIT
+    rss = _rss_bytes()
     sample = {
-        "rss_bytes": _rss_bytes(),
-        "max_rss_bytes": _max_rss_bytes(),
+        "rss_bytes": peak if rss is None else rss,
+        "max_rss_bytes": peak,
         "cpu_seconds": _cpu_seconds(),
+        "minor_faults": None if usage is None else usage.ru_minflt,
         "num_fds": _num_fds(),
         "tracemalloc_current": None,
         "tracemalloc_peak": None,
@@ -174,6 +171,8 @@ class ResourceMonitor:
         if sample["max_rss_bytes"] is not None:
             metrics.gauge("resource/max_rss_bytes").set(sample["max_rss_bytes"])
         metrics.gauge("resource/cpu_seconds").set(sample["cpu_seconds"])
+        if sample["minor_faults"] is not None:
+            metrics.gauge("resource/minor_faults").set(sample["minor_faults"])
 
     def _loop(self) -> None:
         scheduler = DeadlineScheduler(

@@ -272,6 +272,7 @@ EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {
         "fields": (
             'cpu_seconds',
             'max_rss_bytes',
+            'minor_faults',
             'num_fds',
             'rss_bytes',
             'tracemalloc_current',

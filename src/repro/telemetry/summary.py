@@ -96,9 +96,10 @@ class RunModel:
     A section is empty when its artefact or events are missing, so a
     crashed run still has a model.  Peak RSS is the largest
     ``max_rss_bytes`` (each process's ``ru_maxrss`` high-water mark) over
-    every ``resource_sample``, parent and workers; CPU time is the
-    parent's last ``cpu_seconds``.  ``profile["merged"]`` is the parent
-    and worker ``profile_stacks`` merged into one ``StackAggregate``.
+    every ``resource_sample``, parent and workers; CPU time and minor page
+    faults are the parent's last ``cpu_seconds`` and ``minor_faults``.
+    ``profile["merged"]`` is the parent and worker ``profile_stacks``
+    merged into one ``StackAggregate``.
     """
 
     run_dir: str
@@ -252,6 +253,7 @@ def _fold(run: RunModel) -> None:
         "max_rss_bytes": None,
         "mean_rss_bytes": rss.get("mean"),
         "cpu_seconds": None,
+        "minor_faults": None,
         "heartbeats": 0,
         "stalls": 0,
     }
@@ -314,10 +316,13 @@ def _fold(run: RunModel) -> None:
                     resources["max_rss_bytes"] = (
                         peak if best is None else max(best, peak)
                     )
-                cpu = event.get("cpu_seconds")
-                # Last parent sample wins: CPU time is cumulative per process.
-                if isinstance(cpu, (int, float)) and not from_worker:
-                    resources["cpu_seconds"] = cpu
+                # Last parent sample wins: CPU time and faults are
+                # cumulative per process.
+                if not from_worker:
+                    for key in ("cpu_seconds", "minor_faults"):
+                        value = event.get(key)
+                        if isinstance(value, (int, float)):
+                            resources[key] = value
             elif kind == "heartbeat":
                 resources["heartbeats"] += 1
             elif kind == "progress_stall":
@@ -621,6 +626,7 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
         lines.append("")
         peak = resources.get("max_rss_bytes")
         cpu = resources.get("cpu_seconds")
+        faults = resources.get("minor_faults")
         lines.append(
             f"Resources: {resources['samples']} samples "
             f"({resources['worker_samples']} from workers)"
@@ -632,6 +638,11 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
             + (
                 f", CPU {cpu:.2f}s"
                 if isinstance(cpu, (int, float))
+                else ""
+            )
+            + (
+                f", {faults} minor page faults"
+                if isinstance(faults, (int, float))
                 else ""
             )
             + f", {resources['heartbeats']} heartbeats"

@@ -25,6 +25,7 @@ def test_sample_has_stable_schema():
         "rss_bytes",
         "max_rss_bytes",
         "cpu_seconds",
+        "minor_faults",
         "num_fds",
         "tracemalloc_current",
         "tracemalloc_peak",
@@ -32,6 +33,21 @@ def test_sample_has_stable_schema():
     # On Linux /proc is available; RSS and fd counts should be live.
     assert sample["rss_bytes"] is None or sample["rss_bytes"] > 0
     assert sample["cpu_seconds"] >= 0
+    assert sample["minor_faults"] is None or sample["minor_faults"] > 0
+
+
+def test_minor_faults_count_pages_first_touched():
+    """``minor_faults`` is the cumulative ``ru_minflt``: writing a fresh
+    mapping raises it."""
+    before = sample_resources()["minor_faults"]
+    if before is None:
+        pytest.skip("getrusage is unavailable")
+    # 64 MiB lies above the 32 MiB mmap threshold: a fresh mapping of its
+    # own, so its pages are faulted in by this write.
+    block = np.ones(64 * 1024 * 1024, dtype=np.uint8)
+    after = sample_resources()["minor_faults"]
+    assert block[-1] == 1
+    assert after > before
 
 
 def test_sample_reports_tracemalloc_when_tracing():
@@ -66,6 +82,9 @@ def test_monitor_samples_on_start_and_stop():
     assert len(samples) == 2
     assert snapshot["counters"]["resource/samples_total"] == 2
     assert snapshot["gauges"]["resource/cpu_seconds"] >= 0
+    assert snapshot["gauges"]["resource/minor_faults"] == samples[-1][
+        "minor_faults"
+    ]
     assert snapshot["histograms"]["resource/rss_bytes"]["count"] == 2
 
 

@@ -138,7 +138,7 @@ def test_each_command_parses_each_log_once(
     assert dict(parses) == expected
 
 
-# -- one definition of a run's peak RSS and CPU time -------------------------
+# -- one definition of a run's peak RSS, CPU time and page faults ------------
 
 
 def test_peak_rss_and_cpu_agree_across_views(tmp_path):
@@ -158,12 +158,17 @@ def test_peak_rss_and_cpu_agree_across_views(tmp_path):
     assert shown["worker_samples"] > 0
     assert shown["max_rss_bytes"] == dashboard["max_rss_bytes"]
     assert shown["cpu_seconds"] == dashboard["cpu_seconds"]
+    assert shown["minor_faults"] == dashboard["minor_faults"]
     # The peak is the largest per-process ru_maxrss high-water mark over
-    # parent and worker samples; CPU is the parent's last sample.
+    # parent and worker samples; CPU and faults are the parent's last
+    # sample.
     samples = [
         e for e in telemetry.read_events(os.path.join(run_dir, "events.jsonl"))
         if e["kind"] == "resource_sample"
     ]
     assert shown["max_rss_bytes"] == max(e["max_rss_bytes"] for e in samples)
-    parent_cpu = [e["cpu_seconds"] for e in samples if "worker_pid" not in e]
-    assert shown["cpu_seconds"] == parent_cpu[-1]
+    parent = [e for e in samples if "worker_pid" not in e]
+    assert shown["cpu_seconds"] == parent[-1]["cpu_seconds"]
+    assert shown["minor_faults"] == parent[-1]["minor_faults"]
+    text = telemetry.render_summary(telemetry.summarize_run(run_dir))
+    assert f"{shown['minor_faults']} minor page faults" in text
