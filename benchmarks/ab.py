@@ -18,6 +18,11 @@ line::
 
     eval_resnet peak_rss_mb 67.800 → 65.400 MB (10/10 pairs, parent IQR 0.120): gain
 
+and one more for the workload's throughput, ``items_per_s`` from the
+``op_stats`` of each run, whose verdict is always ``reported, not
+gated``: the benchmark gates no throughput metric, and this line never
+sets the exit status.
+
 The counts are the pairs the change won (ties count for neither).  The
 verdict, with the bound a fraction of the parent's median:
 
@@ -52,6 +57,8 @@ RUN = os.path.join("benchmarks", "e2e", "run.py")
 #: ``WIN_SHARE`` of them.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+#: The verdict of a metric the benchmark reports but does not gate.
+NOT_GATED = "reported, not gated"
 
 
 def paired_stats(
@@ -176,7 +183,8 @@ def report(
     runs: Dict[str, List[dict]], workloads: Sequence[str],
     metrics: Sequence[dict],
 ) -> int:
-    """Print one line per gated metric and workload; 1 on a bad run."""
+    """Print one line per gated metric and workload, and one throughput
+    line per workload; 1 on a bad run."""
     status = 0
     for workload in workloads:
         records = {side: [r[workload] for r in runs[side]] for side in runs}
@@ -201,6 +209,16 @@ def report(
             print(f"# {workload} {name} parent {values['parent']} "
                   f"change {values['change']}")
             print(format_line(workload, name, metric["unit"], stats))
+        throughput = {
+            side: [r["op_stats"]["items_per_s"] for r in side_records]
+            for side, side_records in records.items()
+        }
+        stats = paired_stats(
+            throughput["parent"], throughput["change"], "higher", 0.0
+        )
+        print(format_line(
+            workload, "items_per_s", "1/s", {**stats, "verdict": NOT_GATED}
+        ))
     return status
 
 

@@ -20,12 +20,15 @@ import numpy as np
 
 __all__ = ["collect_provenance", "git_sha", "git_dirty"]
 
+#: The loaded ``repro`` package's directory: where git runs by default.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _git(args, cwd: Optional[str] = None) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", *args],
-            cwd=cwd,
+            cwd=_PACKAGE_DIR if cwd is None else cwd,
             capture_output=True,
             text=True,
             timeout=10,

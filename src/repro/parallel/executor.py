@@ -22,23 +22,26 @@ pipeline relies on:
 
 Pools are per-:meth:`~ParallelMap.map`-call; the broadcast bundle is
 pickled once per worker via the pool initialiser, not once per task.
+The pool machinery (``concurrent.futures``, ``multiprocessing``) is
+imported by the methods that build and drive a pool, so a serial map
+never loads it; a pooled map loads it in the parent, before the fork.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import logging
 import time
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..telemetry.progress import ProgressTracker
 from .broadcast import Broadcast
 from .config import default_chunk_size, resolve_workers
 from .worker import initialize_worker, run_chunk
+
+if TYPE_CHECKING:
+    import concurrent.futures as cf
 
 __all__ = ["ParallelMap", "ParallelExecutionError", "TaskFailure"]
 
@@ -164,6 +167,9 @@ class ParallelMap:
         monitor: bool = False,
         profile: bool = False,
     ) -> cf.ProcessPoolExecutor:
+        import concurrent.futures as cf
+        from multiprocessing import get_context
+
         mp_context = (
             get_context(self.start_method) if self.start_method else None
         )
@@ -362,6 +368,8 @@ class ParallelMap:
         tracker: Optional[ProgressTracker] = None,
     ) -> cf.ProcessPoolExecutor:
         """Submit, watch, retry.  Returns the (possibly rebuilt) pool."""
+        import concurrent.futures as cf
+        from concurrent.futures.process import BrokenProcessPool
 
         def pending() -> List[_Chunk]:
             return [c for c in chunks if not c.done]

@@ -1,5 +1,5 @@
-"""The paired statistics of the same-host A/B driver (``benchmarks/ab.py``)
-on fixed numbers."""
+"""The paired statistics and the report of the same-host A/B driver
+(``benchmarks/ab.py``) on fixed numbers."""
 
 import importlib.util
 import os
@@ -83,3 +83,47 @@ def test_bad_inputs_raise():
         ab.paired_stats([], [], "lower", 0.1)
     with pytest.raises(ValueError):
         ab.paired_stats([1], [1], "up", 0.1)
+
+
+def _record(peak_rss_mb, items_per_s, correct=True):
+    return {
+        "correct": correct,
+        "metrics": {"peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}},
+        "op_stats": {"items_per_s": items_per_s, "op_p50_s": 1.0},
+    }
+
+
+def test_report_prints_throughput_ungated_and_never_fails_on_it(capsys):
+    # Throughput halves in every pair: reported, but the exit status
+    # stays 0 because no gated metric moved and every run was correct.
+    runs = {
+        "parent": [{"eval_resnet": _record(65.0, v)} for v in (20, 22, 24, 26)],
+        "change": [{"eval_resnet": _record(65.0, v / 2)} for v in (20, 22, 24, 26)],
+    }
+    metrics = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                "bound": 0.06}]
+    assert ab.report(runs, ["eval_resnet"], metrics) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "eval_resnet peak_rss_mb 65.000 → 65.000 MB "
+        "(0/4 pairs, parent IQR 0.000): within bound"
+    ) in lines
+    assert lines[-1] == (
+        "eval_resnet items_per_s 23.000 → 11.500 1/s "
+        "(0/4 pairs, parent IQR 3.000): reported, not gated"
+    )
+
+
+def test_report_counts_throughput_wins_and_still_flags_a_bad_run(capsys):
+    runs = {
+        "parent": [{"fleet_pooled": _record(46.0, v)} for v in (10, 12)],
+        "change": [{"fleet_pooled": _record(46.0, 11, correct=False)},
+                   {"fleet_pooled": _record(46.0, 11)}],
+    }
+    assert ab.report(runs, ["fleet_pooled"], []) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "fleet_pooled: 1 change run(s) not correct",
+        "fleet_pooled items_per_s 11.000 → 11.000 1/s "
+        "(1/2 pairs, parent IQR 1.000): reported, not gated",
+    ]

@@ -3,12 +3,13 @@
 import json
 import os
 import re
+import subprocess
 
 import pytest
 
 from repro.bench import load_bench
 from repro.bench.cli import build_parser, main as bench_main
-from repro.bench.provenance import git_sha
+from repro.bench.provenance import git_dirty, git_sha
 from repro.bench.report import format_seconds, format_table
 
 
@@ -89,6 +90,23 @@ def test_run_writes_schema_valid_bench_file(tmp_path, capsys):
     assert doc["provenance"]["numpy"]
     captured = capsys.readouterr().out
     assert "faults/sample_fault_map" in captured
+
+
+def test_git_provenance_names_the_loaded_checkout(tmp_path, monkeypatch):
+    """Started from another working directory, ``git_sha()`` still names
+    the checkout the ``repro`` package was loaded from."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    head = subprocess.run(
+        ["git", "-C", root, "rev-parse", "HEAD"],
+        capture_output=True, text=True,
+    )
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert git_sha() == head.stdout.strip()
+    assert isinstance(git_dirty(), bool)
+    # An explicit working directory still wins.
+    assert git_sha(cwd=str(tmp_path)) is None
 
 
 def test_run_profile_stores_function_digests(tmp_path, capsys):

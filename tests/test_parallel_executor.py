@@ -8,11 +8,13 @@ own mechanics are exercised with cheap synthetic tasks.
 
 import os
 import pickle
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.models import MLP
 from repro.parallel import (
     Broadcast,
@@ -23,6 +25,7 @@ from repro.parallel import (
     default_chunk_size,
     resolve_workers,
 )
+from repro.telemetry import MemorySink
 
 
 # -- module-level task functions (workers import these by name) --------------
@@ -142,6 +145,19 @@ def test_bogus_start_method_falls_back_to_serial():
     # Pool creation fails, the map still completes in-process.
     pmap = ParallelMap(2, start_method="no-such-method")
     assert pmap.map(_double, [1, 2]) == [2, 4]
+
+
+def test_unimportable_pool_machinery_falls_back_to_serial(monkeypatch):
+    # The executor imports the pool machinery only when it builds a pool,
+    # so a platform that cannot import it still runs the map in process.
+    monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+    sink = MemorySink()
+    with telemetry.session(sink=sink):
+        assert ParallelMap(2).map(_double, [1, 2]) == [2, 4]
+    reasons = [
+        e["reason"] for e in sink.events if e["kind"] == "parallel_fallback"
+    ]
+    assert len(reasons) == 1 and "pool creation failed" in reasons[0]
 
 
 # -- retry / failure reporting ------------------------------------------------

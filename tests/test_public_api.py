@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -155,21 +156,25 @@ def test_no_import_side_effects():
     assert before == after
 
 
-def test_import_loads_no_scipy():
-    """scipy is a test-only oracle: importing the library, the sweep
-    engine and the CLI must not load it."""
-    code = (
-        "import repro, repro.sweep, repro.experiments.cli, sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _fresh_stdout(code):
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``."""
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
     ).stdout
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only oracle: importing the library, the sweep
+    engine and the CLI must not load it."""
+    out = _fresh_stdout(
+        "import repro, repro.sweep, repro.experiments.cli, sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     assert out.strip() == "[]"
 
 
@@ -197,22 +202,26 @@ COLD_MODULES = (
 )
 
 
+def _pool_modules(names):
+    """The process-pool machinery among loaded module ``names``."""
+    return sorted(
+        name
+        for name in names
+        if name in ("concurrent.futures.process", "_multiprocessing")
+        or name.split(".")[0] == "multiprocessing"
+    )
+
+
 def test_pipeline_import_leaves_cold_modules_unloaded():
     """The import guard behind the lazy package tables: a fresh interpreter
     importing what the end-to-end benchmark imports loads none of the
-    cold subsystems (nor their submodules)."""
-    code = (
+    cold subsystems (nor their submodules), and no process-pool machinery."""
+    modules = _fresh_stdout(
         "import repro, repro.sweep, repro.experiments.runner, sys\n"
-        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
-    )
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    loaded = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
-    ).stdout.split()
+        "print('\\n'.join(sorted(sys.modules)))"
+    ).split()
+    assert not _pool_modules(modules), _pool_modules(modules)
+    loaded = [name for name in modules if name.startswith("repro")]
     assert "repro.experiments.runner" in loaded
     cold = [
         name
@@ -221,3 +230,39 @@ def test_pipeline_import_leaves_cold_modules_unloaded():
     ]
     assert not cold, f"cold modules loaded: {cold}"
     assert len(loaded) <= 60, f"{len(loaded)} repro modules loaded"
+
+
+def test_only_a_pooled_map_loads_the_pool_machinery():
+    """A serial defect evaluation and a serial fault-tolerant fine-tune
+    load no process-pool machinery; a later pooled map loads it in the
+    parent and returns the serial results bit for bit."""
+    code = """
+import json, sys
+import numpy as np
+from repro.core.evaluate import evaluate_defect_accuracy
+from repro.experiments.config import get_scale
+from repro.experiments.runner import (
+    build_backbone, make_loaders, train_fault_tolerant,
+)
+
+scale = get_scale("ci")
+train, test = make_loaders(scale, 10)
+model = build_backbone(scale, 10, np.random.default_rng(scale.seed))
+model = train_fault_tolerant(model, "one_shot", 0.05, scale, train)
+serial = evaluate_defect_accuracy(model, test, 0.05, num_runs=4, seed=5, workers=0)
+after_serial = sorted(sys.modules)
+pooled = evaluate_defect_accuracy(model, test, 0.05, num_runs=4, seed=5, workers=2)
+print(json.dumps({
+    "after_serial": after_serial,
+    "after_pooled": sorted(sys.modules),
+    "serial": [float(a).hex() for a in serial.run_accuracies],
+    "pooled": [float(a).hex() for a in pooled.run_accuracies],
+}))
+"""
+    out = json.loads(_fresh_stdout(code))
+    assert not _pool_modules(out["after_serial"]), _pool_modules(
+        out["after_serial"]
+    )
+    assert "concurrent.futures.process" in out["after_pooled"]
+    assert "multiprocessing.context" in out["after_pooled"]
+    assert out["pooled"] == out["serial"]
