@@ -124,19 +124,19 @@ class SyntheticImageClassification:
         cfg = self.config
         rng = self._rng
         labels = rng.integers(0, cfg.num_classes, size=n)
-        images = self.prototypes[labels].copy()
+        images = self.prototypes[labels]  # fancy indexing already copies
 
-        # Per-sample circular shift (vectorised per distinct shift pair).
+        # Per-sample circular shift (vectorised per shift pair).  A plain
+        # range, not ``np.unique``, whose masked-array check loads numpy.ma.
         if cfg.max_shift > 0:
+            shifts = range(-cfg.max_shift, cfg.max_shift + 1)
             shifts_y = rng.integers(-cfg.max_shift, cfg.max_shift + 1, size=n)
             shifts_x = rng.integers(-cfg.max_shift, cfg.max_shift + 1, size=n)
-            for dy in np.unique(shifts_y):
-                for dx in np.unique(shifts_x):
+            for dy in shifts:
+                for dx in shifts:
                     sel = (shifts_y == dy) & (shifts_x == dx)
                     if np.any(sel):
-                        images[sel] = np.roll(
-                            images[sel], (int(dy), int(dx)), axis=(2, 3)
-                        )
+                        images[sel] = np.roll(images[sel], (dy, dx), axis=(2, 3))
 
         if cfg.contrast_jitter > 0:
             contrast = rng.uniform(

@@ -9,35 +9,35 @@ pipeline relies on:
   the value computed for task ``i`` is a pure function of the task, the
   broadcast context, and nothing else; worker count, chunk size, and
   scheduling order only affect wall-clock time.
-* **Fault tolerance** — a task that raises is retried up to ``retries``
-  times; a worker that dies (pool breaks) or hangs past the timeout is
-  replaced by tearing the pool down and rebuilding it, and the affected
-  chunks are resubmitted.  When a chunk exhausts its retries the whole
-  map raises :class:`ParallelExecutionError` — a partial Monte Carlo
-  mean is never silently returned.
+* **Fault tolerance** — a task that raises is retried up to
+  :data:`RETRIES` times; a worker that dies (pool breaks) is replaced by
+  tearing the pool down and rebuilding it, and the affected chunks are
+  resubmitted.  When a chunk exhausts its retries the whole map raises
+  :class:`ParallelExecutionError` — a partial Monte Carlo mean is never
+  silently returned.
 * **Graceful degradation** — workers 0/1, or any failure to *create* a
-  pool (missing OS support, bad start method), falls back to in-process
-  serial execution, which is the same code path the task function takes
-  inside a worker.
+  pool (missing OS support), falls back to in-process serial execution,
+  which is the same code path the task function takes inside a worker.
 
-Pools are per-:meth:`~ParallelMap.map`-call; the broadcast bundle is
-pickled once per worker via the pool initialiser, not once per task.
-The pool machinery (``concurrent.futures``, ``multiprocessing``) is
-imported by the methods that build and drive a pool, so a serial map
-never loads it; a pooled map loads it in the parent, before the fork.
+Pools are per-:meth:`~ParallelMap.map`-call and use the platform's
+start method; chunks come from :func:`~repro.parallel.default_chunk_size`.
+The broadcast bundle is pickled once per worker via the pool
+initialiser, not once per task.  The pool machinery
+(``concurrent.futures``, ``multiprocessing``) is imported by the methods
+that build and drive a pool, so a serial map never loads it; a pooled
+map loads it in the parent, before the fork.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..telemetry.progress import ProgressTracker
+from . import config
 from .broadcast import Broadcast
-from .config import default_chunk_size, resolve_workers
 from .worker import initialize_worker, run_chunk
 
 if TYPE_CHECKING:
@@ -54,7 +54,11 @@ _BOOKKEEPING_FIELDS = ("kind", "run_id", "seq", "ts")
 #: Worker session-lifecycle events that are noise in the parent stream.
 _SKIPPED_WORKER_EVENTS = {"run_start", "run_end"}
 
-#: Poll interval for the completion/hang-detection loop, seconds.
+#: Extra attempts per chunk after its first failure.
+RETRIES = 2
+
+#: Poll interval of the completion loop, seconds; each tick notes which
+#: chunks a worker has picked up (see ``ParallelMap._on_pool_break``).
 _WAIT_TICK = 0.1
 
 
@@ -94,7 +98,7 @@ class _Chunk:
     tasks: List[Any]
     attempts: int = 0
     future: Optional[cf.Future] = None
-    running_since: Optional[float] = None
+    running: bool = False
     last_reason: str = ""
     done: bool = False
 
@@ -102,45 +106,12 @@ class _Chunk:
 class ParallelMap:
     """Map a function over tasks with a deterministic process pool.
 
-    Parameters
-    ----------
-    workers:
-        Worker processes; ``None`` defers to :data:`~repro.parallel.WORKERS_ENV`,
-        0/1 run serial in-process.
-    chunk_size:
-        Tasks per submission; default gives each worker ~4 chunks.
-    timeout:
-        Per-task seconds before a running chunk is declared hung and its
-        worker replaced (a chunk of *k* tasks gets ``k * timeout``).
-        ``None`` disables hang detection.
-    retries:
-        Extra attempts per chunk after its first failure.
-    start_method:
-        ``multiprocessing`` start method (``fork``/``spawn``/``forkserver``);
-        ``None`` uses the platform default.  An unsupported method falls
-        back to serial execution rather than failing the evaluation.
+    ``workers`` is the number of worker processes; ``None`` defers to
+    :data:`~repro.parallel.WORKERS_ENV`, and 0/1 run serial in process.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        timeout: Optional[float] = None,
-        retries: int = 2,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workers = resolve_workers(workers)
-        self.chunk_size = chunk_size
-        self.timeout = timeout
-        self.retries = retries
-        self.start_method = start_method
+    def __init__(self, workers: Optional[int] = None) -> None:
+        self.workers = config.resolve_workers(workers)
 
     # -- serial path --------------------------------------------------------
     def _run_serial(
@@ -168,24 +139,19 @@ class ParallelMap:
         profile: bool = False,
     ) -> cf.ProcessPoolExecutor:
         import concurrent.futures as cf
-        from multiprocessing import get_context
 
-        mp_context = (
-            get_context(self.start_method) if self.start_method else None
-        )
         return cf.ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=mp_context,
             initializer=initialize_worker,
             initargs=(broadcast, capture, monitor, profile),
         )
 
     @staticmethod
     def _teardown_pool(pool: cf.ProcessPoolExecutor) -> None:
-        """Stop a pool that may contain hung or dead workers.
+        """Stop a pool that may contain dead or still-busy workers.
 
-        ``shutdown`` alone would join workers forever if one is hung, so
-        live processes are terminated first (``_processes`` is private
+        ``shutdown`` alone would join a busy worker until its chunk ends,
+        so live processes are terminated first (``_processes`` is private
         but stable across supported CPython versions; failure to reach
         it only means a slower shutdown, not a wrong result).
         """
@@ -207,7 +173,7 @@ class ParallelMap:
         chunk: _Chunk,
         payload: Dict[str, Any],
         results: Dict[int, Any],
-        tracker: Optional[ProgressTracker] = None,
+        tracker: ProgressTracker,
     ) -> None:
         for index, value in payload["results"]:
             results[index] = value
@@ -244,14 +210,13 @@ class ParallelMap:
             seconds=payload["seconds"],
             attempt=chunk.attempts,
         )
-        if tracker is not None:
-            tracker.update(len(chunk.tasks))
+        tracker.update(len(chunk.tasks))
 
     def _record_retry(self, chunk: _Chunk, reason: str) -> None:
         chunk.attempts += 1
         chunk.last_reason = reason
         chunk.future = None
-        chunk.running_since = None
+        chunk.running = False
         run = telemetry.current()
         run.metrics.counter("parallel/retries_total").inc()
         run.emit(
@@ -264,7 +229,7 @@ class ParallelMap:
             "retrying chunk %s (attempt %d/%d): %s",
             chunk.indices,
             chunk.attempts,
-            self.retries + 1,
+            RETRIES + 1,
             reason,
         )
 
@@ -307,7 +272,7 @@ class ParallelMap:
                 fn, tasks, broadcast, label, f"pool creation failed: {exc}"
             )
 
-        size = self.chunk_size or default_chunk_size(len(tasks), self.workers)
+        size = config.default_chunk_size(len(tasks), self.workers)
         chunks = [
             _Chunk(
                 indices=list(range(start, min(start + size, len(tasks)))),
@@ -326,16 +291,7 @@ class ParallelMap:
 
         results: Dict[int, Any] = {}
         failures: List[TaskFailure] = []
-        # Heartbeats/ETA over completed tasks; the stall window mirrors the
-        # hang-detection budget of one chunk, so a stall warning lands in
-        # the event stream at about the moment a hung chunk would be due.
-        tracker = ProgressTracker(
-            total=len(tasks),
-            label=label,
-            stall_timeout=(
-                self.timeout * size if self.timeout is not None else None
-            ),
-        )
+        tracker = ProgressTracker(total=len(tasks), label=label)
         try:
             pool = self._drive(
                 pool, fn, broadcast, capture, monitor, profile, chunks,
@@ -365,9 +321,9 @@ class ParallelMap:
         chunks: List[_Chunk],
         results: Dict[int, Any],
         failures: List[TaskFailure],
-        tracker: Optional[ProgressTracker] = None,
+        tracker: ProgressTracker,
     ) -> cf.ProcessPoolExecutor:
-        """Submit, watch, retry.  Returns the (possibly rebuilt) pool."""
+        """Submit, wait, retry.  Returns the (possibly rebuilt) pool."""
         import concurrent.futures as cf
         from concurrent.futures.process import BrokenProcessPool
 
@@ -386,7 +342,7 @@ class ParallelMap:
             self._teardown_pool(old)
             for chunk in pending():
                 chunk.future = None
-                chunk.running_since = None
+                chunk.running = False
             return self._make_pool(broadcast, capture, monitor, profile)
 
         while pending():
@@ -395,7 +351,7 @@ class ParallelMap:
             for chunk in pending():
                 if chunk.future is not None:
                     continue
-                if chunk.attempts > self.retries:
+                if chunk.attempts > RETRIES:
                     give_up(chunk, chunk.last_reason or "retries exhausted")
                     continue
                 try:
@@ -415,30 +371,12 @@ class ParallelMap:
                 timeout=_WAIT_TICK,
                 return_when=cf.FIRST_COMPLETED,
             )
-            if tracker is not None:
-                tracker.check_stall()
-            now = time.monotonic()
             broken = False
             for chunk in live:
                 future = chunk.future
-                if future is None:
-                    continue
                 if not future.done():
-                    # Hang detection: the per-task budget starts counting
-                    # when the chunk is first observed on a worker.
-                    if future.running() and chunk.running_since is None:
-                        chunk.running_since = now
-                    if (
-                        self.timeout is not None
-                        and chunk.running_since is not None
-                        and now - chunk.running_since
-                        > self.timeout * len(chunk.tasks)
-                    ):
-                        self._record_retry(
-                            chunk,
-                            f"timed out after {self.timeout:g}s/task",
-                        )
-                        broken = True  # hung worker: must replace the pool
+                    # Seen on a worker: a suspect if the pool breaks.
+                    chunk.running = chunk.running or future.running()
                     continue
                 try:
                     payload = future.result()
@@ -465,11 +403,11 @@ class ParallelMap:
         e.g. an initialiser crash), every pending chunk pays — otherwise
         the rebuild loop could spin forever without consuming retries.
         """
-        suspects = [c for c in pending_chunks if c.running_since is not None]
+        suspects = [c for c in pending_chunks if c.running]
         if not suspects:
             suspects = pending_chunks
         for chunk in suspects:
             self._record_retry(chunk, "worker process died")
         for chunk in pending_chunks:
             chunk.future = None
-            chunk.running_since = None
+            chunk.running = False

@@ -120,8 +120,7 @@ class ResourceMonitor:
     Parameters
     ----------
     run:
-        The :class:`~repro.telemetry.TelemetryRun` to record into;
-        defaults to the process-wide current run at :meth:`start` time.
+        The :class:`~repro.telemetry.TelemetryRun` to record into.
     interval:
         Seconds between samples (default :data:`DEFAULT_INTERVAL`).
 
@@ -140,7 +139,7 @@ class ResourceMonitor:
 
     def __init__(
         self,
-        run=None,
+        run,
         interval: float = DEFAULT_INTERVAL,
         clock: Optional[Callable[[], float]] = None,
         waiter: Optional[Callable[[float], bool]] = None,
@@ -186,13 +185,7 @@ class ResourceMonitor:
 
         No-op when already running or when the run is disabled.
         """
-        if self._thread is not None:
-            return self
-        if self._run is None:
-            from .run import current
-
-            self._run = current()
-        if not self._run.enabled:
+        if self._thread is not None or not self._run.enabled:
             return self
         self._record_sample()
         self._stop.clear()

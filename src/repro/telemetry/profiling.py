@@ -241,15 +241,15 @@ class StackSampler:
 class StackProfiler:
     """Run-bound sampling profiler (the :class:`ResourceMonitor` shape).
 
-    ``start`` resolves the current run when none was given and is a
-    no-op on a disabled run; ``stop`` emits the whole aggregate as one
-    ``profile_stacks`` event and bumps ``profile/samples_total``, so a
-    worker chunk's profile travels to the parent through the standard
-    event/metrics merge.  Usable as a context manager.
+    ``start`` is a no-op on a disabled run; ``stop`` emits the whole
+    aggregate as one ``profile_stacks`` event and bumps
+    ``profile/samples_total``, so a worker chunk's profile travels to the
+    parent through the standard event/metrics merge.  Usable as a
+    context manager.
     """
 
     def __init__(
-        self, run=None, interval: float = DEFAULT_PROFILE_INTERVAL
+        self, run, interval: float = DEFAULT_PROFILE_INTERVAL
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -263,13 +263,7 @@ class StackProfiler:
 
     def start(self) -> "StackProfiler":
         """Start sampling the calling thread, if the run is enabled."""
-        if self._sampler is not None:
-            return self
-        if self._run is None:
-            from .run import current
-
-            self._run = current()
-        if not self._run.enabled:
+        if self._sampler is not None or not self._run.enabled:
             return self
         self._sampler = StackSampler(
             interval=self.interval, span_tracker=self._run.spans

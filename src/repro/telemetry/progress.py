@@ -1,4 +1,4 @@
-"""Live progress: heartbeat events with throughput/ETA and stall detection.
+"""Live progress: heartbeat events with throughput and ETA.
 
 A hundred-draw Monte Carlo evaluation (or a thousand-chunk parallel map)
 is silent while it runs; the only signals today are the final
@@ -9,13 +9,7 @@ fills the gap:
   event — ``completed``/``total``, units-per-second throughput, elapsed
   and estimated-remaining seconds — rate-limited to at most one every
   ``min_interval`` seconds (plus a final one from :meth:`finish`), so
-  heartbeats stay cheap no matter how fast units complete;
-* :meth:`check_stall` (called from a polling loop, e.g. the
-  ``repro.parallel`` executor's wait tick) emits a single
-  ``progress_stall`` warning event when no unit has completed within the
-  ``stall_timeout`` window, and re-arms once progress resumes — so a
-  hung worker shows up in the event stream *before* the retry machinery
-  gives up on it.
+  heartbeats stay cheap no matter how fast units complete.
 
 The tracker writes to the current telemetry run by default and is a
 no-op on a disabled run; clocks are injectable for tests.
@@ -23,20 +17,17 @@ no-op on a disabled run; clocks are injectable for tests.
 
 from __future__ import annotations
 
-import logging
 import time
 from typing import Callable, Optional
 
 __all__ = ["ProgressTracker"]
-
-logger = logging.getLogger("repro.telemetry")
 
 #: Default minimum seconds between heartbeat events.
 DEFAULT_MIN_INTERVAL = 1.0
 
 
 class ProgressTracker:
-    """Counts completed work units; emits heartbeats and stall warnings.
+    """Counts completed work units; emits rate-limited heartbeats.
 
     Parameters
     ----------
@@ -52,10 +43,6 @@ class ProgressTracker:
         current run at construction time.
     min_interval:
         Minimum seconds between consecutive heartbeat events.
-    stall_timeout:
-        Seconds without a completed unit after which :meth:`check_stall`
-        emits a ``progress_stall`` warning; ``None`` disables stall
-        detection.
     clock:
         Monotonic time source (injectable for tests).
     """
@@ -66,17 +53,12 @@ class ProgressTracker:
         label: str,
         run=None,
         min_interval: float = DEFAULT_MIN_INTERVAL,
-        stall_timeout: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if total is not None and total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
         if min_interval < 0:
             raise ValueError(f"min_interval must be >= 0, got {min_interval}")
-        if stall_timeout is not None and stall_timeout <= 0:
-            raise ValueError(
-                f"stall_timeout must be positive, got {stall_timeout}"
-            )
         if run is None:
             from .run import current
 
@@ -85,15 +67,11 @@ class ProgressTracker:
         self.label = label
         self.completed = 0
         self.min_interval = min_interval
-        self.stall_timeout = stall_timeout
         self._run = run
         self._clock = clock
         self._started = clock()
         self._last_heartbeat: Optional[float] = None
-        self._last_progress = self._started
-        self._stalled = False
         self.heartbeats = 0
-        self.stalls = 0
 
     # -- progress -----------------------------------------------------------
     def update(self, n: int = 1) -> None:
@@ -101,12 +79,9 @@ class ProgressTracker:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         self.completed += n
-        now = self._clock()
-        self._last_progress = now
-        if self._stalled:
-            self._stalled = False  # stall ended; re-arm the detector
         if not self._run.enabled:
             return
+        now = self._clock()
         if (
             self._last_heartbeat is None
             or now - self._last_heartbeat >= self.min_interval
@@ -145,38 +120,3 @@ class ProgressTracker:
         self._run.metrics.counter("progress/heartbeats_total").inc()
         self._last_heartbeat = now
         self.heartbeats += 1
-
-    # -- stall detection -----------------------------------------------------
-    def check_stall(self) -> bool:
-        """Emit a ``progress_stall`` warning when the window expired.
-
-        Returns whether the tracker currently considers progress stalled.
-        Only the *transition* into a stall emits (and logs) a warning;
-        the next :meth:`update` re-arms the detector.
-        """
-        if self.stall_timeout is None:
-            return False
-        if self._stalled:
-            return True
-        idle = self._clock() - self._last_progress
-        if idle <= self.stall_timeout:
-            return False
-        self._stalled = True
-        self.stalls += 1
-        self._run.emit(
-            "progress_stall",
-            label=self.label,
-            completed=self.completed,
-            total=self.total,
-            idle_seconds=idle,
-            stall_timeout=self.stall_timeout,
-        )
-        self._run.metrics.counter("progress/stalls_total").inc()
-        logger.warning(
-            "%s: no progress for %.1fs (completed %s/%s)",
-            self.label,
-            idle,
-            self.completed,
-            self.total if self.total is not None else "?",
-        )
-        return True

@@ -16,8 +16,8 @@ telemetry ledger directory into **one self-contained static HTML file**
   ``forensics_draw`` events in draw order (bit-identical to the live
   aggregates at any worker count);
 * per-run time/memory breakdowns: wall-clock by span, peak RSS / CPU
-  time / sample counts from the resource monitor, heartbeat/stall
-  counts, and the static model-cost totals when recorded;
+  time / sample counts from the resource monitor, heartbeat counts, and
+  the static model-cost totals when recorded;
 * bench trend sparklines across the repo's ``BENCH_*.json`` baselines.
 
 The report is **deterministic for a fixed ledger**: no generation
@@ -530,14 +530,13 @@ def _render_run(run: dict) -> str:
         parts.append(
             _table(
                 ["samples (workers)", "peak RSS", "mean RSS", "CPU time",
-                 "heartbeats", "stalls"],
+                 "heartbeats"],
                 [[
                     f"{res['samples']} ({res['worker_samples']})",
                     _fmt_bytes(res["max_rss_bytes"]),
                     _fmt_bytes(res["mean_rss_bytes"]),
                     f"{_fmt(res['cpu_seconds'], 2)}s",
                     str(res["heartbeats"]),
-                    str(res["stalls"]),
                 ]],
             )
         )

@@ -250,16 +250,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {
         ),
         "extra": False,
     },
-    'progress_stall': {
-        "fields": (
-            'completed',
-            'idle_seconds',
-            'label',
-            'stall_timeout',
-            'total',
-        ),
-        "extra": False,
-    },
     'progressive_level': {
         "fields": (
             'epochs_per_level',

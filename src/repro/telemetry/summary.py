@@ -140,7 +140,7 @@ class RunModel:
             "forensics": None,
         }
         resources = self.resources
-        if any(resources[key] for key in ("samples", "heartbeats", "stalls")):
+        if resources["samples"] or resources["heartbeats"]:
             summary["resources"] = {
                 key: value
                 for key, value in resources.items()
@@ -255,7 +255,6 @@ def _fold(run: RunModel) -> None:
         "cpu_seconds": None,
         "minor_faults": None,
         "heartbeats": 0,
-        "stalls": 0,
     }
     profile_events: List[dict] = []
     forensics_events: List[dict] = []
@@ -325,8 +324,6 @@ def _fold(run: RunModel) -> None:
                             resources[key] = value
             elif kind == "heartbeat":
                 resources["heartbeats"] += 1
-            elif kind == "progress_stall":
-                resources["stalls"] += 1
             elif kind == "profile_stacks":
                 profile_events.append(event)
             elif kind == "forensics_draw":
@@ -646,11 +643,6 @@ def render_summary(summary: dict, top: Optional[int] = None) -> str:
                 else ""
             )
             + f", {resources['heartbeats']} heartbeats"
-            + (
-                f", {resources['stalls']} STALL WARNING(S)"
-                if resources["stalls"]
-                else ""
-            )
         )
 
     profile = summary.get("profile")

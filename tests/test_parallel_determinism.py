@@ -72,3 +72,30 @@ def test_default_seed_is_recorded_and_rematerialisable(model, loader):
         model, loader, 0.05, num_runs=3, seed=first.seed
     )
     assert replay.run_accuracies == first.run_accuracies
+
+
+def test_repeated_calls_leave_no_state_behind(model, loader):
+    """Each entry point, called twice in one process at workers 0 and 2
+    (serial, pooled, serial, pooled), returns the same bits every time.
+    A task that kept state in module globals would change the second
+    serial call, and pool workers forked after it would inherit that."""
+
+    def results(workers):
+        evaluation = evaluate_defect_accuracy(
+            model, loader, 0.05, num_runs=4, seed=11, workers=workers
+        )
+        fleet = simulate_fleet(
+            model, loader, 0.05, num_devices=4, seed=12, workers=workers
+        )
+        layers = layer_sensitivity(
+            model, loader, 0.1, num_runs=2, seed=13, workers=workers
+        )
+        return (
+            evaluation.run_accuracies,
+            fleet.accuracies,
+            [(s.name, s.mean_accuracy, s.accuracy_drop) for s in layers],
+        )
+
+    first = results(0)
+    for workers in (2, 0, 2):
+        assert results(workers) == first

@@ -3,19 +3,21 @@
 Task functions live at module level because pool workers import them by
 qualified name.  Worker-count/chunk-size determinism of the *numeric*
 pipeline is covered in test_parallel_determinism.py; here the executor's
-own mechanics are exercised with cheap synthetic tasks.
+own mechanics are exercised with cheap synthetic tasks.  Chunk sizes and
+the retry budget are shaped by patching ``config.default_chunk_size`` and
+``executor.RETRIES``; ``ParallelMap`` itself takes only ``workers``.
 """
 
 import os
 import pickle
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.models import MLP
+from repro.parallel import config, executor
 from repro.parallel import (
     Broadcast,
     ModelBroadcast,
@@ -55,9 +57,40 @@ def _flaky(task, context):
     return task * 10
 
 
-def _hang(task, context):
-    time.sleep(60)
-    return task
+def _die(task, context):
+    os._exit(3)
+
+
+def _die_once(task, context):
+    """Kills its worker on the first attempt at a task, then succeeds."""
+    flag = os.path.join(context["dir"], f"died-{task}")
+    if not os.path.exists(flag):
+        with open(flag, "w"):
+            pass
+        os._exit(3)
+    return task * 10
+
+
+@pytest.fixture()
+def chunk_size(monkeypatch):
+    """Fix the executor's chunk size: ``chunk_size(n)``."""
+
+    def fix(size):
+        monkeypatch.setattr(
+            config, "default_chunk_size", lambda num_tasks, workers: size
+        )
+
+    return fix
+
+
+@pytest.fixture()
+def retries(monkeypatch):
+    """Set the executor's retry budget: ``retries(n)``."""
+
+    def fix(count):
+        monkeypatch.setattr(executor, "RETRIES", count)
+
+    return fix
 
 
 # -- worker-count and chunking policy ----------------------------------------
@@ -98,11 +131,10 @@ def test_default_chunk_size_targets_four_chunks_per_worker():
 
 def test_parallel_map_rejects_bad_knobs():
     with pytest.raises(ValueError):
-        ParallelMap(2, retries=-1)
-    with pytest.raises(ValueError):
-        ParallelMap(2, timeout=0)
-    with pytest.raises(ValueError):
-        ParallelMap(2, chunk_size=0)
+        ParallelMap(-1)
+    # The worker count is the executor's only setting.
+    with pytest.raises(TypeError):
+        ParallelMap(2, chunk_size=3)
 
 
 # -- mapping semantics --------------------------------------------------------
@@ -124,11 +156,16 @@ def test_pool_matches_serial_and_preserves_order():
     assert pooled == serial == [t * 2 for t in tasks]
 
 
-@pytest.mark.parametrize("chunk_size", [1, 3, 7, 100])
-def test_chunk_size_does_not_change_results(chunk_size):
+@pytest.mark.parametrize("size", [1, 3, 7, 100])
+def test_chunk_size_does_not_change_results(chunk_size, size):
+    chunk_size(size)
     tasks = list(range(9))
-    result = ParallelMap(2, chunk_size=chunk_size).map(_double, tasks)
+    sink = MemorySink()
+    with telemetry.session(sink=sink):
+        result = ParallelMap(2).map(_double, tasks)
     assert result == [t * 2 for t in tasks]
+    (start,) = [e for e in sink.events if e["kind"] == "parallel_map_start"]
+    assert start["chunk_size"] == size
 
 
 def test_broadcast_context_reaches_workers():
@@ -139,12 +176,6 @@ def test_broadcast_context_reaches_workers():
 
 
 # -- graceful degradation -----------------------------------------------------
-
-
-def test_bogus_start_method_falls_back_to_serial():
-    # Pool creation fails, the map still completes in-process.
-    pmap = ParallelMap(2, start_method="no-such-method")
-    assert pmap.map(_double, [1, 2]) == [2, 4]
 
 
 def test_unimportable_pool_machinery_falls_back_to_serial(monkeypatch):
@@ -163,10 +194,11 @@ def test_unimportable_pool_machinery_falls_back_to_serial(monkeypatch):
 # -- retry / failure reporting ------------------------------------------------
 
 
-def test_crashing_task_raises_after_retries():
-    pmap = ParallelMap(2, retries=1, chunk_size=1)
+def test_crashing_task_raises_after_retries(chunk_size, retries):
+    chunk_size(1)
+    retries(1)
     with pytest.raises(ParallelExecutionError) as excinfo:
-        pmap.map(_crash_odd, [0, 1, 2, 3])
+        ParallelMap(2).map(_crash_odd, [0, 1, 2, 3])
     error = excinfo.value
     assert sorted(f.index for f in error.failures) == [1, 3]
     assert error.completed == 2
@@ -174,27 +206,43 @@ def test_crashing_task_raises_after_retries():
     assert "ValueError" in error.failures[0].reason
 
 
-def test_flaky_tasks_recover_on_retry(tmp_path):
-    pmap = ParallelMap(2, retries=2, chunk_size=1)
-    result = pmap.map(_flaky, [1, 2, 3], Broadcast(dir=str(tmp_path)))
+def test_flaky_tasks_recover_on_retry(tmp_path, chunk_size):
+    chunk_size(1)
+    result = ParallelMap(2).map(_flaky, [1, 2, 3], Broadcast(dir=str(tmp_path)))
     assert result == [10, 20, 30]
 
 
-def test_all_failures_never_return_partial_results():
-    pmap = ParallelMap(2, retries=0, chunk_size=2)
+def test_all_failures_never_return_partial_results(chunk_size, retries):
+    chunk_size(2)
+    retries(0)
     with pytest.raises(ParallelExecutionError) as excinfo:
-        pmap.map(_crash, [1, 2, 3])
+        ParallelMap(2).map(_crash, [1, 2, 3])
     assert excinfo.value.completed == 0
     assert len(excinfo.value.failures) == 3
 
 
-def test_hung_worker_times_out_and_reports():
-    pmap = ParallelMap(2, retries=0, chunk_size=2, timeout=0.5)
-    started = time.monotonic()
+def test_dead_worker_is_replaced_and_its_chunk_rerun(tmp_path):
+    # Each task kills its worker once.  With two tasks a chunk is charged
+    # at most twice (its own death, a co-running chunk's), within RETRIES.
+    sink = MemorySink()
+    with telemetry.session(sink=sink):
+        result = ParallelMap(2).map(
+            _die_once, [1, 2], Broadcast(dir=str(tmp_path))
+        )
+    assert result == [10, 20]
+    reasons = [e["reason"] for e in sink.events if e["kind"] == "parallel_retry"]
+    assert reasons and set(reasons) == {"worker process died"}
+
+
+def test_worker_that_always_dies_exhausts_retries(retries):
+    retries(1)
     with pytest.raises(ParallelExecutionError) as excinfo:
-        pmap.map(_hang, [1, 2])
-    assert time.monotonic() - started < 30
-    assert "timed out" in str(excinfo.value)
+        ParallelMap(2).map(_die, [1, 2])
+    error = excinfo.value
+    assert error.completed == 0
+    assert sorted(f.index for f in error.failures) == [0, 1]
+    assert all(f.attempts == 2 for f in error.failures)
+    assert all(f.reason == "worker process died" for f in error.failures)
 
 
 # -- broadcast wire format ----------------------------------------------------

@@ -266,3 +266,17 @@ print(json.dumps({
     assert "concurrent.futures.process" in out["after_pooled"]
     assert "multiprocessing.context" in out["after_pooled"]
     assert out["pooled"] == out["serial"]
+
+
+def test_building_the_bench_datasets_leaves_numpy_ma_unloaded():
+    """Synthesising the benchmark's datasets never loads ``numpy.ma``
+    (``np.unique`` would, through its masked-array check)."""
+    out = _fresh_stdout(
+        "import sys\n"
+        "from repro.experiments.config import get_scale\n"
+        "from repro.experiments.runner import make_loaders\n"
+        "scale = get_scale('bench')\n"
+        "make_loaders(scale, scale.num_classes_small)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert out.strip() == "False"

@@ -117,7 +117,7 @@ def test_monitor_context_manager():
 
 def test_monitor_rejects_bad_interval():
     with pytest.raises(ValueError):
-        ResourceMonitor(interval=0)
+        ResourceMonitor(telemetry.NULL_RUN, interval=0)
 
 
 # -- opt-in via session(resources=True) --------------------------------------

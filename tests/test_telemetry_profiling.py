@@ -358,7 +358,7 @@ def test_sampler_rejects_bad_interval():
     with pytest.raises(ValueError):
         StackSampler(interval=0)
     with pytest.raises(ValueError):
-        StackProfiler(interval=-1)
+        StackProfiler(telemetry.NULL_RUN, interval=-1)
 
 
 # -- StackProfiler + session(profile=True) ------------------------------------

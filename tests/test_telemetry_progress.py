@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry.progress: heartbeat cadence, ETA, stalls."""
+"""Tests for repro.telemetry.progress: heartbeat cadence and ETA."""
 
 import pytest
 
@@ -78,31 +78,6 @@ def test_finish_emits_final_heartbeat_and_unknown_total_omits_eta():
     assert beats[-1]["eta_seconds"] is None
 
 
-def test_stall_emits_once_and_rearms_on_progress():
-    sink = MemorySink()
-    clock = FakeClock()
-    tracker = _tracker(
-        sink, total=10, label="s", min_interval=0.0,
-        stall_timeout=5.0, clock=clock,
-    )
-    assert not tracker.check_stall()
-    clock.advance(6.0)
-    assert tracker.check_stall()
-    assert tracker.check_stall()  # still stalled; no second event
-    stalls = [e for e in sink.events if e["kind"] == "progress_stall"]
-    assert len(stalls) == 1
-    assert stalls[0]["idle_seconds"] == 6.0
-    assert stalls[0]["stall_timeout"] == 5.0
-    # Progress re-arms the detector; a fresh stall emits again.
-    tracker.update()
-    assert not tracker.check_stall()
-    clock.advance(6.0)
-    assert tracker.check_stall()
-    assert tracker.stalls == 2
-    run = telemetry.current()
-    assert run.metrics.snapshot()["counters"]["progress/stalls_total"] == 2
-
-
 def test_zero_total_never_divides_by_zero():
     sink = MemorySink()
     clock = FakeClock()
@@ -161,7 +136,6 @@ def test_disabled_run_emits_nothing():
     )
     tracker.update(5)
     tracker.finish()
-    assert tracker.check_stall() is False
     assert tracker.heartbeats == 0
 
 
@@ -171,10 +145,6 @@ def test_validation():
     with pytest.raises(ValueError):
         ProgressTracker(
             total=1, label="x", run=telemetry.NULL_RUN, min_interval=-1
-        )
-    with pytest.raises(ValueError):
-        ProgressTracker(
-            total=1, label="x", run=telemetry.NULL_RUN, stall_timeout=0
         )
     tracker = ProgressTracker(total=1, label="x", run=telemetry.NULL_RUN)
     with pytest.raises(ValueError):

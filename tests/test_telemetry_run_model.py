@@ -3,7 +3,7 @@
 ``tests/data/run-golden/`` is a hand-written run directory: a parent
 process plus two pool workers (``worker_pid``-stamped events) that
 recorded spans, epochs, defect draws, fault injections, a model cost,
-resource samples, a heartbeat and a stall, two profile aggregates,
+resource samples, a heartbeat, two profile aggregates,
 forensics draws, method reports and a sweep leaderboard, followed by
 one truncated line.  ``tests/data/run-golden.json`` pins what
 ``summarize_run``, the dashboard's per-run dicts and the ledger record
